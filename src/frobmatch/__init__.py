@@ -21,8 +21,8 @@ from frobmatch.elliptic import CurveQ, TraceRecord, ap_bsgs, ap_naive, count_poi
 from frobmatch.frobenius import (
     FrobeniusFieldTag,
     MatchRecord,
+    PairScan,
     chebotarev_empirical,
-    count_equal_fields,
     count_fixed_field,
     count_fixed_trace,
     count_joint_traces,
@@ -60,6 +60,7 @@ __all__ = [
     "FrobeniusFieldTag",
     "MatchRecord",
     "Multiset",
+    "PairScan",
     "SievePrimeSet",
     "SieveReport",
     "ap_bsgs",
@@ -71,7 +72,6 @@ __all__ = [
     "class_ratio",
     "count_det_trace_bruteforce",
     "count_det_trace_formula",
-    "count_equal_fields",
     "count_fixed_field",
     "count_fixed_trace",
     "count_joint_traces",

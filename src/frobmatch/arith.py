@@ -106,34 +106,43 @@ def jacobi_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def squarefree_decompose(n: int) -> SquarefreeDecomposition:
-    """Split n = D * m**2 with D squarefree, by trial division up to sqrt(n).
+def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, by trial division up to sqrt(n).
 
     Adequate for the desk scale here (n up to ~1e8); isolated so a faster
     factoring backend could be swapped in.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    d, m = 1, 1
-    rest = n
+    out: dict[int, int] = {}
     for p in small_primes(math.isqrt(n) + 1):
-        if p * p > rest:
+        if p * p > n:
             break
-        if rest % p:
+        if n % p:
             continue
         e = 0
-        while rest % p == 0:
-            rest //= p
+        while n % p == 0:
+            n //= p
             e += 1
-        m *= p ** (e // 2)
-        if e % 2:
-            d *= p
-    d *= rest  # leftover is prime (or 1), hence squarefree
-    return SquarefreeDecomposition(n, d, m)
+        out[p] = e
+    if n > 1:
+        out[n] = 1  # leftover is a prime above every divisor tried
+    return out
+
+
+def squarefree_decompose(n: int) -> SquarefreeDecomposition:
+    """Split n = D * m**2 with D squarefree."""
+    d = squarefree_part(n)
+    return SquarefreeDecomposition(n, d, math.isqrt(n // d))
 
 
 def squarefree_part(n: int) -> int:
-    return squarefree_decompose(n).D
+    """The squarefree D with n = D * m**2: the primes to an odd power in n."""
+    d = 1
+    for p, e in factorize(n).items():
+        if e % 2:
+            d *= p
+    return d
 
 
 def is_perfect_square(n: int) -> bool:
@@ -154,6 +163,13 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     return True
+
+
+def check_odd_prime_pair(q1: int, q2: int) -> int:
+    """q1 * q2 for two distinct odd primes; ValueError otherwise."""
+    if q1 == q2 or q1 % 2 == 0 or q2 % 2 == 0 or not (is_prime(q1) and is_prime(q2)):
+        raise ValueError(f"need two distinct odd primes, got ({q1}, {q2})")
+    return q1 * q2
 
 
 def log_integral(x: float) -> float:

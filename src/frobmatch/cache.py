@@ -9,6 +9,7 @@ recomputation, never silent reuse.
 from __future__ import annotations
 
 import os
+import uuid
 
 from frobmatch.elliptic import CurveQ
 
@@ -41,9 +42,16 @@ def read_trace_cache(path: str, curve: CurveQ) -> dict[int, int]:
 
 def write_trace_cache(path: str, curve: CurveQ, traces: dict[int, int]) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(f"#curve A={curve.A} B={curve.B}\n")
-        for p in sorted(traces):
-            fh.write(f"{p}\t{traces[p]}\n")
-    os.replace(tmp, path)
+    # a name of its own per writer, so concurrent writers never share a
+    # half-written file; the last os.replace wins whole
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x", encoding="ascii") as fh:
+            fh.write(f"#curve A={curve.A} B={curve.B}\n")
+            for p in sorted(traces):
+                fh.write(f"{p}\t{traces[p]}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

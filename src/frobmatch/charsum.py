@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from frobmatch.arith import is_prime, jacobi_symbol
+from frobmatch.arith import check_odd_prime_pair, is_prime, jacobi_symbol
 
 CHARSUM_CSV_COLUMNS = ["q", "d", "bruteforce", "closed", "agree", "half_reduction", "half_agrees"]
 
@@ -119,10 +119,7 @@ def triple_sum_factored(q1: int, q2: int) -> int:
 def triple_sum(q1: int, q2: int) -> int:
     """The residue-class triple sum, cross-checked between both evaluation
     paths; always within (q1-1)(q2-1)."""
-    if q1 == q2:
-        raise ValueError("need two distinct primes")
-    _check_odd_prime(q1)
-    _check_odd_prime(q2)
+    check_odd_prime_pair(q1, q2)
     factored = triple_sum_factored(q1, q2)
     if q1 * q2 <= TRIPLE_DIRECT_LIMIT:
         direct = triple_sum_direct(q1, q2)

@@ -9,7 +9,7 @@ Subcommands
   verify-all          every verification suite
   experiment CONFIG   full growth experiment with all artifacts
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification failure, 2 configuration or input error.
 """
 
 from __future__ import annotations
@@ -19,14 +19,23 @@ import dataclasses
 import os
 import sys
 
+from frobmatch.arith import is_prime
 from frobmatch.config import ConfigError, ExperimentConfig, load_config
 from frobmatch.elliptic import CurveQ, ap_bsgs
-from frobmatch.experiment import checkpoint_z, pair_traces, run_experiment, write_sieve_csv
-from frobmatch.frobenius import scan_pair, write_match_csv
-from frobmatch.sieve import Multiset, build_prime_window, sieve_bound_v1, sieve_bound_v2
+from frobmatch.experiment import checkpoint_z, pair_scan, run_experiment, write_sieve_csv
+from frobmatch.frobenius import write_match_csv
+from frobmatch.sieve import (
+    build_prime_window,
+    curve_pair_multiset,
+    sieve_bound_v1,
+    sieve_bound_v2,
+)
 from frobmatch.verify import verify_all, verify_charsum, verify_gl2
 
 EXIT_OK, EXIT_VERIFY, EXIT_CONFIG = 0, 1, 2
+
+# `ap` checks primality by trial division, which sieves up to sqrt(p).
+AP_P_MAX = 10**12
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,6 +84,8 @@ def main(argv: list[str] | None = None) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
         if args.command == "ap":
+            if not (args.p <= AP_P_MAX and is_prime(args.p)):
+                raise ConfigError(f"p={args.p} is not a prime <= {AP_P_MAX}")
             curve = CurveQ(args.A, args.B)
             if not curve.is_good(args.p):
                 raise ConfigError(f"p={args.p} is a bad prime for {curve.label()}")
@@ -83,8 +94,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "match-count":
             cfg = _load(args)
-            _, traces = pair_traces(cfg)
-            scan = scan_pair(cfg.curve1, cfg.curve2, cfg.x_max, traces)
+            scan = pair_scan(cfg)
             write_match_csv(scan.records, os.path.join(args.out, "match.csv"))
             print(
                 f"matched fields: {scan.match_count} of {len(scan.records)} good primes "
@@ -94,11 +104,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "sieve-demo":
             cfg = _load(args)
-            _, traces = pair_traces(cfg)
-            records = scan_pair(cfg.curve1, cfg.curve2, cfg.x_max, traces).records
-            elems = tuple((4 * r.p - r.a_p**2) * (4 * r.p - r.b_p**2) for r in records)
             window = build_prime_window(checkpoint_z(cfg, cfg.x_max))
-            multiset = Multiset(elems)
+            multiset = curve_pair_multiset(pair_scan(cfg), cfg.x_max)
             reports = []
             try:
                 reports.append(sieve_bound_v1(multiset, window))
@@ -141,6 +148,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except ArithmeticError as e:
+        print(f"verification failure: {e}", file=sys.stderr)
+        return EXIT_VERIFY
     raise AssertionError("unreachable")
 
 

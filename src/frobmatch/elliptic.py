@@ -20,28 +20,13 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from frobmatch.arith import small_primes
+from frobmatch.arith import factorize
 
 # Below this, interval order-finding gains nothing over the direct sum.
 BSGS_MIN_PRIME = 457
 
 # Affine points are (x, y) tuples; the point at infinity is None.
 Point = tuple[int, int] | None
-
-
-def _factor_small(n: int) -> dict[int, int]:
-    """Trial-division factorization; inputs here stay well under 64 bits."""
-    n = abs(n)
-    out: dict[int, int] = {}
-    for p in small_primes(math.isqrt(n) + 1):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -58,7 +43,7 @@ class CurveQ:
         if disc == 0:
             raise ValueError(f"singular curve A={self.A} B={self.B} (disc = 0)")
         object.__setattr__(self, "discriminant", disc)
-        object.__setattr__(self, "bad_primes", frozenset(_factor_small(6 * disc)))
+        object.__setattr__(self, "bad_primes", frozenset(factorize(abs(6 * disc))))
 
     def is_good(self, p: int) -> bool:
         return p not in self.bad_primes
@@ -186,7 +171,7 @@ def _random_point(a: int, b: int, p: int, rng: random.Random) -> Point:
 def _order_from_multiple(P: Point, m: int, a: int, p: int) -> int:
     # m is a positive multiple of ord(P); strip primes while P still dies.
     d = m
-    for ell in _factor_small(m):
+    for ell in factorize(m):
         while d % ell == 0 and _mul(d // ell, P, a, p) is None:
             d //= ell
     return d

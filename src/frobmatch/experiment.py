@@ -22,19 +22,21 @@ from frobmatch.config import ExperimentConfig
 from frobmatch.elliptic import CurveQ, ap_bsgs
 from frobmatch.frobenius import (
     MatchRecord,
+    PairScan,
     chebotarev_empirical,
     good_primes,
+    residue_modulus,
     scan_pair,
     write_match_csv,
 )
 from frobmatch.gl2 import class_ratio
 from frobmatch.sieve import (
     SIEVE_CSV_COLUMNS,
-    Multiset,
     SieveReport,
     build_prime_window,
     choose_z_grh,
     choose_z_uncond,
+    curve_pair_multiset,
     sieve_bound_v2,
     theorem_bound_curves,
 )
@@ -110,14 +112,21 @@ def _store_cache(cfg: ExperimentConfig, curve: CurveQ, traces: dict[int, int]) -
         write_trace_cache(cache_path(cfg.cache_dir, curve), curve, traces)
 
 
-def pair_traces(cfg: ExperimentConfig) -> tuple[list[int], dict[int, tuple[int, int]]]:
-    """Good primes <= x_max and their (a_p, b_p), cached and parallel."""
+def pair_scan(cfg: ExperimentConfig) -> PairScan:
+    """The configured pair's PairScan at x_max, traces cached and parallel."""
     good, _ = good_primes(cfg.x_max, cfg.curve1, cfg.curve2)
     t1 = compute_traces(cfg.curve1, good, cfg.threads, _load_cache(cfg, cfg.curve1))
     t2 = compute_traces(cfg.curve2, good, cfg.threads, _load_cache(cfg, cfg.curve2))
     _store_cache(cfg, cfg.curve1, t1)
     _store_cache(cfg, cfg.curve2, t2)
-    return good, {p: (t1[p], t2[p]) for p in good}
+    # scan_pair hands back the very curve objects it is given; an identity
+    # test is a third of the cost of hashing a CurveQ per lookup
+    return scan_pair(
+        cfg.curve1,
+        cfg.curve2,
+        cfg.x_max,
+        lambda curve, p: (t1 if curve is cfg.curve1 else t2)[p],
+    )
 
 
 def checkpoint_z(cfg: ExperimentConfig, x: int) -> float:
@@ -196,12 +205,10 @@ def growth_svg(series: GrowthSeries) -> str:
     )
 
 
-def write_residue_csv(cfg: ExperimentConfig, traces, path: str) -> None:
+def write_residue_csv(cfg: ExperimentConfig, scan: PairScan, path: str) -> None:
     """Per-cell residue frequencies vs the class-ratio prediction at x_max."""
-    table = chebotarev_empirical(
-        cfg.curve1, cfg.curve2, cfg.x_max, cfg.q1, cfg.q2, traces
-    )
-    li_x = log_integral(cfg.x_max)
+    table = chebotarev_empirical(scan, cfg.q1, cfg.q2)
+    li_x = log_integral(table.x)
     n = table.modulus
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -217,26 +224,29 @@ def write_residue_csv(cfg: ExperimentConfig, traces, path: str) -> None:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> GrowthSeries:
     """Full pipeline; writes match.csv, growth.csv, sieve.csv, growth.svg,
-    and residue.csv when a modulus pair is configured."""
+    and residue.csv when a modulus pair is configured.
+
+    Every sieve window and the modulus pair are checked before any trace is
+    computed, so a config that must fail leaves no artifacts behind.
+    """
+    windows = [build_prime_window(checkpoint_z(cfg, x)) for x in cfg.x_checkpoints]
+    if cfg.q1 is not None:
+        residue_modulus(cfg.q1, cfg.q2)
     os.makedirs(out_dir, exist_ok=True)
-    _, traces = pair_traces(cfg)
-    scan = scan_pair(cfg.curve1, cfg.curve2, cfg.x_max, traces)
+    scan = pair_scan(cfg)
     write_match_csv(scan.records, os.path.join(out_dir, "match.csv"))
 
     series = growth_series(scan.records, cfg.x_checkpoints)
     write_growth_csv(series, os.path.join(out_dir, "growth.csv"))
 
-    reports = []
-    for x in cfg.x_checkpoints:
-        elems = tuple(
-            (4 * r.p - r.a_p**2) * (4 * r.p - r.b_p**2) for r in scan.records if r.p <= x
-        )
-        window = build_prime_window(checkpoint_z(cfg, x))
-        reports.append(sieve_bound_v2(Multiset(elems), window))
+    reports = [
+        sieve_bound_v2(curve_pair_multiset(scan, x), window)
+        for x, window in zip(cfg.x_checkpoints, windows)
+    ]
     write_sieve_csv(reports, os.path.join(out_dir, "sieve.csv"))
 
     if cfg.q1 is not None:
-        write_residue_csv(cfg, traces, os.path.join(out_dir, "residue.csv"))
+        write_residue_csv(cfg, scan, os.path.join(out_dir, "residue.csv"))
 
     with open(os.path.join(out_dir, "growth.svg"), "w", encoding="utf-8") as fh:
         fh.write(growth_svg(series))

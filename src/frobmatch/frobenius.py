@@ -16,11 +16,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from frobmatch.arith import (
+    check_odd_prime_pair,
     is_perfect_square,
-    is_prime,
     log_integral,
     primes_in,
     squarefree_part,
@@ -55,8 +55,10 @@ class MatchRecord:
 
 @dataclass(frozen=True)
 class PairScan:
-    """Per-prime match records for a curve pair, plus the skipped primes."""
+    """The trace table of a curve pair: one MatchRecord per common good prime
+    p <= x, ascending, plus the skipped primes.  Every pair count reads it."""
 
+    x: int
     records: tuple[MatchRecord, ...]
     excluded: tuple[int, ...]
 
@@ -76,11 +78,21 @@ def good_primes(x: int, *curves: CurveQ) -> tuple[list[int], list[int]]:
     return good, skipped
 
 
+def _field_d(p: int, t: int) -> int:
+    # squarefree part D of 4p - t^2, naming the field Q(sqrt(-D))
+    return squarefree_part(4 * p - t * t)
+
+
 def frobenius_field(curve: CurveQ, p: int, a_p: int | None = None) -> FrobeniusFieldTag:
     """Field tag at a good prime p > 3; a_p may be supplied to skip recompute."""
     if a_p is None:
         a_p = ap_bsgs(curve, p)
-    return FrobeniusFieldTag(squarefree_part(4 * p - a_p * a_p))
+    return FrobeniusFieldTag(_field_d(p, a_p))
+
+
+def pair_product(p: int, a: int, b: int) -> int:
+    """(4p - a^2)(4p - b^2), the square-sieve element of the prime p."""
+    return (4 * p - a * a) * (4 * p - b * b)
 
 
 def product_is_square_check(p: int, a: int, b: int) -> bool:
@@ -90,113 +102,45 @@ def product_is_square_check(p: int, a: int, b: int) -> bool:
     """
     if a * a >= 4 * p or b * b >= 4 * p:
         raise ValueError(f"traces violate the Hasse bound at p={p}: a={a}, b={b}")
-    return is_perfect_square((4 * p - a * a) * (4 * p - b * b))
+    return is_perfect_square(pair_product(p, a, b))
 
 
-def _pair_traces(
-    e1: CurveQ,
-    e2: CurveQ,
-    primes: Iterable[int],
-    traces: Mapping[int, tuple[int, int]] | None,
-    trace_fn: TraceFn,
-) -> Iterable[tuple[int, int, int]]:
-    for p in primes:
-        if traces is not None and p in traces:
-            a, b = traces[p]
-        else:
-            a, b = trace_fn(e1, p), trace_fn(e2, p)
-        yield p, a, b
-
-
-def scan_pair(
-    e1: CurveQ,
-    e2: CurveQ,
-    x: int,
-    traces: Mapping[int, tuple[int, int]] | None = None,
-    trace_fn: TraceFn = ap_bsgs,
-) -> PairScan:
-    """One MatchRecord per common good prime p <= x, ascending."""
+def scan_pair(e1: CurveQ, e2: CurveQ, x: int, trace_fn: TraceFn = ap_bsgs) -> PairScan:
+    """One MatchRecord per common good prime p <= x, ascending; the only
+    place a pair's traces are looked up prime by prime."""
     if x < 5:
         raise ValueError(f"need x >= 5, got {x}")
     good, skipped = good_primes(x, e1, e2)
     records = []
-    for p, a, b in _pair_traces(e1, e2, good, traces, trace_fn):
-        d1 = squarefree_part(4 * p - a * a)
-        d2 = squarefree_part(4 * p - b * b)
-        records.append(MatchRecord(p, a, b, d1, d2, product_is_square_check(p, a, b)))
-    return PairScan(tuple(records), tuple(skipped))
+    for p in good:
+        a, b = trace_fn(e1, p), trace_fn(e2, p)
+        records.append(
+            MatchRecord(p, a, b, _field_d(p, a), _field_d(p, b), product_is_square_check(p, a, b))
+        )
+    return PairScan(x, tuple(records), tuple(skipped))
 
 
-def count_equal_fields(
-    e1: CurveQ,
-    e2: CurveQ,
-    x: int,
-    traces: Mapping[int, tuple[int, int]] | None = None,
-    trace_fn: TraceFn = ap_bsgs,
-) -> tuple[int, tuple[MatchRecord, ...]]:
-    """#{p <= x good for both : F(E1, p) = F(E2, p)}, with the record stream."""
-    scan = scan_pair(e1, e2, x, traces, trace_fn)
-    return scan.match_count, scan.records
-
-
-def count_fixed_trace(
-    e: CurveQ,
-    t: int,
-    x: int,
-    traces: Mapping[int, int] | None = None,
-    trace_fn: TraceFn = ap_bsgs,
-) -> int:
+def count_fixed_trace(e: CurveQ, t: int, x: int, trace_fn: TraceFn = ap_bsgs) -> int:
     """#{p <= x good : a_p = t}."""
     if x < 5:
         raise ValueError(f"need x >= 5, got {x}")
     good, _ = good_primes(x, e)
-    n = 0
-    for p in good:
-        a = traces[p] if traces is not None and p in traces else trace_fn(e, p)
-        if a == t:
-            n += 1
-    return n
+    return sum(1 for p in good if trace_fn(e, p) == t)
 
 
-def count_fixed_field(
-    e: CurveQ,
-    d: int,
-    x: int,
-    traces: Mapping[int, int] | None = None,
-    trace_fn: TraceFn = ap_bsgs,
-) -> int:
+def count_fixed_field(e: CurveQ, d: int, x: int, trace_fn: TraceFn = ap_bsgs) -> int:
     """#{p <= x good : squarefree part of 4p - a_p^2 equals d}."""
     if d < 1 or squarefree_part(d) != d:
         raise ValueError(f"field selector must be squarefree >= 1, got {d}")
     if x < 5:
         raise ValueError(f"need x >= 5, got {x}")
     good, _ = good_primes(x, e)
-    n = 0
-    for p in good:
-        a = traces[p] if traces is not None and p in traces else trace_fn(e, p)
-        if squarefree_part(4 * p - a * a) == d:
-            n += 1
-    return n
+    return sum(1 for p in good if _field_d(p, trace_fn(e, p)) == d)
 
 
-def count_joint_traces(
-    e1: CurveQ,
-    e2: CurveQ,
-    t1: int,
-    t2: int,
-    x: int,
-    traces: Mapping[int, tuple[int, int]] | None = None,
-    trace_fn: TraceFn = ap_bsgs,
-) -> int:
+def count_joint_traces(scan: PairScan, t1: int, t2: int) -> int:
     """#{p <= x good for both : a_p = t1 and b_p = t2}."""
-    if x < 5:
-        raise ValueError(f"need x >= 5, got {x}")
-    good, _ = good_primes(x, e1, e2)
-    n = 0
-    for p, a, b in _pair_traces(e1, e2, good, traces, trace_fn):
-        if a == t1 and b == t2:
-            n += 1
-    return n
+    return sum(1 for r in scan.records if r.a_p == t1 and r.b_p == t2)
 
 
 # ---------------------------------------------------------------------------
@@ -227,36 +171,20 @@ class CheboTable:
         return sum(self.counts[d % n][s][t] for s in range(n) for t in range(n))
 
 
-def _check_modulus_pair(q1: int, q2: int) -> int:
-    if q1 == q2:
-        raise ValueError("moduli must be distinct primes")
-    if q1 % 2 == 0 or q2 % 2 == 0:
-        raise ValueError("moduli must be odd primes")
-    if not (is_prime(q1) and is_prime(q2)):
-        raise ValueError(f"moduli must be prime, got ({q1}, {q2})")
-    return q1 * q2
+def residue_modulus(q1: int, q2: int) -> int:
+    """q1*q2 for distinct odd primes whose residue table fits in memory."""
+    if abs(q1 * q2) ** 3 > 2_000_000:
+        raise ValueError(f"residue table for modulus {q1 * q2} would not fit memory")
+    return check_odd_prime_pair(q1, q2)
 
 
-def chebotarev_empirical(
-    e1: CurveQ,
-    e2: CurveQ,
-    x: int,
-    q1: int,
-    q2: int,
-    traces: Mapping[int, tuple[int, int]] | None = None,
-    trace_fn: TraceFn = ap_bsgs,
-) -> CheboTable:
-    """Histogram the good primes p <= x into (p, a_p, b_p) residue cells."""
-    n = _check_modulus_pair(q1, q2)
-    if n**3 > 2_000_000:
-        raise ValueError(f"residue table for modulus {n} would not fit memory")
-    good, skipped = good_primes(x, e1, e2)
+def chebotarev_empirical(scan: PairScan, q1: int, q2: int) -> CheboTable:
+    """Histogram the scanned primes into (p, a_p, b_p) residue cells."""
+    n = residue_modulus(q1, q2)
     counts = [[[0] * n for _ in range(n)] for _ in range(n)]
-    total = 0
-    for p, a, b in _pair_traces(e1, e2, good, traces, trace_fn):
-        counts[p % n][a % n][b % n] += 1
-        total += 1
-    return CheboTable(q1, q2, x, counts, total, tuple(skipped))
+    for r in scan.records:
+        counts[r.p % n][r.a_p % n][r.b_p % n] += 1
+    return CheboTable(q1, q2, scan.x, counts, len(scan.records), scan.excluded)
 
 
 def chebotarev_deviation(table: CheboTable) -> tuple[float, tuple[int, int, int]]:

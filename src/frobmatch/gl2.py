@@ -16,21 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from frobmatch.arith import is_prime, jacobi_symbol
+from frobmatch.arith import check_odd_prime_pair, is_prime, jacobi_symbol
 
 # Largest modulus we enumerate directly (modulus**4 matrices).
 ENUM_LIMIT = 35
 
 GL2_CSV_COLUMNS = ["q1", "q2", "d", "s", "t", "formula", "bruteforce", "equal"]
-
-
-def _check_odd_prime_pair(q1: int, q2: int) -> int:
-    if q1 == q2:
-        raise ValueError("need two distinct primes")
-    for q in (q1, q2):
-        if q % 2 == 0 or not is_prime(q):
-            raise ValueError(f"need odd primes, got ({q1}, {q2})")
-    return q1 * q2
 
 
 def count_det_trace_single(q: int, d: int, t: int) -> int:
@@ -44,7 +35,7 @@ def count_det_trace_single(q: int, d: int, t: int) -> int:
 
 def count_det_trace_formula(q1: int, q2: int, d: int, t: int) -> int:
     """Matrix count with fixed unit determinant d and trace t mod q1*q2."""
-    n = _check_odd_prime_pair(q1, q2)
+    n = check_odd_prime_pair(q1, q2)
     if math.gcd(d, n) != 1:
         raise ValueError(f"determinant {d} is not a unit mod {n}")
     return (
@@ -101,7 +92,7 @@ def order_H_formula(q1: int, q2: int) -> int:
     Equals |GL2(Z/q1q2)|^2 / phi(q1q2): the subgroup is the kernel of
     (A1, A2) -> det(A1) det(A2)^{-1}.
     """
-    _check_odd_prime_pair(q1, q2)
+    check_odd_prime_pair(q1, q2)
     return (
         q1**2 * (q1 - 1) * (q1**2 - 1) ** 2 * q2**2 * (q2 - 1) * (q2**2 - 1) ** 2
     )
@@ -110,7 +101,7 @@ def order_H_formula(q1: int, q2: int) -> int:
 def order_H_histogram(q1: int, q2: int) -> int:
     """Enumeration route for `order_H_formula`: sum of N(d)^2 over unit d,
     where N(d) counts matrices mod q1*q2 with determinant d."""
-    n = _check_odd_prime_pair(q1, q2)
+    n = check_odd_prime_pair(q1, q2)
     hist = det_trace_histogram(n)
     return int(sum(int(hist[d].sum()) ** 2 for d in range(n) if math.gcd(d, n) == 1))
 
@@ -122,7 +113,7 @@ def pair_class_count(q1: int, q2: int, d: int, s: int, t: int) -> int:
 
 
 def pair_class_count_bruteforce(q1: int, q2: int, d: int, s: int, t: int) -> int:
-    n = _check_odd_prime_pair(q1, q2)
+    n = check_odd_prime_pair(q1, q2)
     hist = det_trace_histogram(n)
     if math.gcd(d, n) != 1:
         raise ValueError(f"determinant {d} is not a unit mod {n}")

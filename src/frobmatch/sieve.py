@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
-from frobmatch.arith import is_perfect_square, is_prime, jacobi_symbol, log_integral, primes_in
-from frobmatch.elliptic import CurveQ, ap_bsgs
-from frobmatch.frobenius import TraceFn, chebotarev_empirical, good_primes, scan_pair
+from frobmatch.arith import (
+    check_odd_prime_pair,
+    is_perfect_square,
+    jacobi_symbol,
+    log_integral,
+    primes_in,
+)
+from frobmatch.frobenius import PairScan, chebotarev_empirical, pair_product
 from frobmatch.gl2 import class_ratio_main_term
 from frobmatch.charsum import triple_sum
 
@@ -93,18 +97,11 @@ def build_prime_window(z: float) -> SievePrimeSet:
     return SievePrimeSet(z, tuple(qs))
 
 
-def curve_pair_multiset(
-    e1: CurveQ,
-    e2: CurveQ,
-    x: int,
-    traces: Mapping[int, tuple[int, int]] | None = None,
-    trace_fn: TraceFn = ap_bsgs,
-) -> Multiset:
-    """Elements (4p - a_p^2)(4p - b_p^2) over common good primes p <= x."""
-    scan = scan_pair(e1, e2, x, traces, trace_fn)
-    return Multiset(
-        tuple((4 * r.p - r.a_p**2) * (4 * r.p - r.b_p**2) for r in scan.records)
-    )
+def curve_pair_multiset(scan: PairScan, x: int) -> Multiset:
+    """Elements (4p - a_p^2)(4p - b_p^2) over the scanned primes p <= x."""
+    if x > scan.x:
+        raise ValueError(f"the scan stops at x={scan.x}, below {x}")
+    return Multiset(tuple(pair_product(r.p, r.a_p, r.b_p) for r in scan.records if r.p <= x))
 
 
 def square_count_exact(a: Multiset) -> int:
@@ -193,43 +190,21 @@ def sieve_bound_v2(a: Multiset, window: SievePrimeSet) -> SieveReport:
     )
 
 
-def prime_char_sum(
-    e1: CurveQ,
-    e2: CurveQ,
-    x: int,
-    q1: int,
-    q2: int,
-    traces: Mapping[int, tuple[int, int]] | None = None,
-    trace_fn: TraceFn = ap_bsgs,
-) -> int:
-    """sum over good p <= x, p not in {q1, q2}, of ((4p-a_p^2)(4p-b_p^2)/q1q2)."""
-    n = _check_pair(q1, q2)
-    good, _ = good_primes(x, e1, e2)
-    total = 0
-    for p in good:
-        if p == q1 or p == q2:
-            continue
-        if traces is not None and p in traces:
-            a, b = traces[p]
-        else:
-            a, b = trace_fn(e1, p), trace_fn(e2, p)
-        total += jacobi_symbol((4 * p - a * a) * (4 * p - b * b), n)
-    return total
+def prime_char_sum(scan: PairScan, q1: int, q2: int) -> int:
+    """sum over scanned p, p not in {q1, q2}, of ((4p-a_p^2)(4p-b_p^2)/q1q2)."""
+    n = check_odd_prime_pair(q1, q2)
+    return sum(
+        jacobi_symbol(pair_product(r.p, r.a_p, r.b_p), n)
+        for r in scan.records
+        if r.p != q1 and r.p != q2
+    )
 
 
-def prime_char_sum_by_classes(
-    e1: CurveQ,
-    e2: CurveQ,
-    x: int,
-    q1: int,
-    q2: int,
-    traces: Mapping[int, tuple[int, int]] | None = None,
-    trace_fn: TraceFn = ap_bsgs,
-) -> int:
+def prime_char_sum_by_classes(scan: PairScan, q1: int, q2: int) -> int:
     """Same sum via the residue-class decomposition: the (d, s, t) histogram
     weighted by the symbol of (4d - s^2)(4d - t^2)."""
-    n = _check_pair(q1, q2)
-    table = chebotarev_empirical(e1, e2, x, q1, q2, traces, trace_fn)
+    table = chebotarev_empirical(scan, q1, q2)
+    n = table.modulus
     total = 0
     for d in range(n):
         if math.gcd(d, n) != 1:
@@ -240,12 +215,6 @@ def prime_char_sum_by_classes(
                 if c:
                     total += c * jacobi_symbol((4 * d - s * s) * (4 * d - t * t), n)
     return total
-
-
-def _check_pair(q1: int, q2: int) -> int:
-    if q1 == q2 or q1 % 2 == 0 or q2 % 2 == 0 or not (is_prime(q1) and is_prime(q2)):
-        raise ValueError(f"need distinct odd primes, got ({q1}, {q2})")
-    return q1 * q2
 
 
 def choose_z_grh(x: float) -> float:

@@ -25,6 +25,7 @@ from frobmatch.charsum import (
     triple_sum,
 )
 from frobmatch.elliptic import CurveQ, ap_bsgs, ap_naive
+from frobmatch.frobenius import scan_pair
 from frobmatch.gl2 import (
     GL2_CSV_COLUMNS,
     order_H_formula,
@@ -152,9 +153,9 @@ def verify_sieve() -> tuple[bool, str]:
         expected = z / (2 * math.log(z))
         density_ok = density_ok and abs(w.P - expected) <= 0.25 * expected
 
-    e1, e2 = DEMO_PAIR
-    direct = prime_char_sum(e1, e2, 10**4, 3, 5)
-    classes = prime_char_sum_by_classes(e1, e2, 10**4, 3, 5)
+    scan = scan_pair(*DEMO_PAIR, 10**4)
+    direct = prime_char_sum(scan, 3, 5)
+    classes = prime_char_sum_by_classes(scan, 3, 5)
     paths_ok = direct == classes
 
     ok = v2_ok and squares_ok and density_ok and paths_ok

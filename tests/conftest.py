@@ -1,8 +1,7 @@
 import pytest
 
 from frobmatch.elliptic import CurveQ
-from frobmatch.experiment import compute_traces
-from frobmatch.frobenius import good_primes
+from frobmatch.frobenius import scan_pair
 
 DEMO1 = CurveQ(2, 3)
 DEMO2 = CurveQ(5, 7)
@@ -10,8 +9,5 @@ DEMO2 = CurveQ(5, 7)
 
 @pytest.fixture(scope="session")
 def demo_traces_1e4():
-    """(good primes, {p: (a_p, b_p)}) for the demo pair up to 10^4."""
-    good, _ = good_primes(10_000, DEMO1, DEMO2)
-    t1 = compute_traces(DEMO1, good)
-    t2 = compute_traces(DEMO2, good)
-    return good, {p: (t1[p], t2[p]) for p in good}
+    """PairScan of the demo pair up to 10^4."""
+    return scan_pair(DEMO1, DEMO2, 10_000)

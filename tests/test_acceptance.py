@@ -16,7 +16,7 @@ from frobmatch.charsum import charsum_verification_rows, jacobi_sum, jacobi_symb
 from frobmatch.config import parse_config
 from frobmatch.elliptic import ap_bsgs, ap_naive
 from frobmatch.experiment import run_experiment
-from frobmatch.frobenius import product_is_square_check, scan_pair
+from frobmatch.frobenius import product_is_square_check
 from frobmatch.gl2 import (
     count_det_trace_bruteforce,
     count_det_trace_formula,
@@ -142,8 +142,7 @@ def test_criterion_4_trace_correctness():
 
 
 def test_criterion_5_square_detection_equivalence(demo_traces_1e4):
-    _, traces = demo_traces_1e4
-    scan = scan_pair(E1, E2, 10_000, traces)
+    scan = demo_traces_1e4
     bad = sum(
         1
         for r in scan.records
@@ -158,7 +157,6 @@ def test_criterion_5_square_detection_equivalence(demo_traces_1e4):
 
 
 def test_criterion_6_sieve_v2_inequality(demo_traces_1e4):
-    _, traces = demo_traces_1e4
     rng = random.Random(0x5EED)
     window50 = build_prime_window(50)
     violations = 0
@@ -166,7 +164,7 @@ def test_criterion_6_sieve_v2_inequality(demo_traces_1e4):
         a = Multiset(tuple(rng.randrange(1, 10**9 + 1) for _ in range(1000)))
         rep = sieve_bound_v2(a, window50)  # raises on violation
         violations += rep.exact_square_count > rep.bound_total
-    curve_a = curve_pair_multiset(E1, E2, 10_000, traces)
+    curve_a = curve_pair_multiset(demo_traces_1e4, 10_000)
     rep = sieve_bound_v2(curve_a, build_prime_window(30))
     violations += rep.exact_square_count > rep.bound_total
     _report(
@@ -178,9 +176,8 @@ def test_criterion_6_sieve_v2_inequality(demo_traces_1e4):
 
 
 def test_criterion_7_char_sum_cross_path(demo_traces_1e4):
-    _, traces = demo_traces_1e4
-    direct = prime_char_sum(E1, E2, 10_000, 3, 5, traces)
-    classes = prime_char_sum_by_classes(E1, E2, 10_000, 3, 5, traces)
+    direct = prime_char_sum(demo_traces_1e4, 3, 5)
+    classes = prime_char_sum_by_classes(demo_traces_1e4, 3, 5)
     _report(
         7,
         direct == classes,

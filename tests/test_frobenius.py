@@ -9,7 +9,6 @@ from frobmatch.frobenius import (
     FrobeniusFieldTag,
     chebotarev_deviation,
     chebotarev_empirical,
-    count_equal_fields,
     count_fixed_field,
     count_fixed_trace,
     count_joint_traces,
@@ -58,9 +57,8 @@ class TestProductSquareCheck:
             product_is_square_check(5, 5, 0)
 
     def test_equals_squarefree_comparison(self, demo_traces_1e4):
-        good, traces = demo_traces_1e4
-        for p in good[:400]:
-            a, b = traces[p]
+        for r in demo_traces_1e4.records[:400]:
+            p, a, b = r.p, r.a_p, r.b_p
             lhs = product_is_square_check(p, a, b)
             rhs = _squarefree_part_slow(4 * p - a * a) == _squarefree_part_slow(4 * p - b * b)
             assert lhs == rhs
@@ -68,9 +66,7 @@ class TestProductSquareCheck:
 
 class TestScanPair:
     def test_three_way_agreement(self, demo_traces_1e4):
-        good, traces = demo_traces_1e4
-        scan = scan_pair(E1, E2, 10_000, traces)
-        for r in scan.records:
+        for r in demo_traces_1e4.records:
             assert r.matched == product_is_square_check(r.p, r.a_p, r.b_p) == (r.D1 == r.D2)
 
     def test_excluded_side_channel(self):
@@ -79,8 +75,9 @@ class TestScanPair:
         assert len(scan.records) + len(scan.excluded) == len(primes_in(0, 100))
 
     def test_identical_curves_always_match(self):
-        count, records = count_equal_fields(E1, E1, 300, trace_fn=ap_naive)
-        assert count == len(records)
+        scan = scan_pair(E1, E1, 300, trace_fn=ap_naive)
+        count = scan.match_count
+        assert count == len(scan.records)
         good, _ = good_primes(300, E1)
         assert count == len(good)
 
@@ -95,15 +92,15 @@ class TestScanPair:
         # are counted, and traces change at most in sign
         tw = quadratic_twist(E1, -1)
         assert tw.bad_primes == E1.bad_primes
-        c1, _ = count_equal_fields(E1, E2, 2000, trace_fn=ap_naive)
-        c2, _ = count_equal_fields(tw, E2, 2000, trace_fn=ap_naive)
+        c1 = scan_pair(E1, E2, 2000, trace_fn=ap_naive).match_count
+        c2 = scan_pair(tw, E2, 2000, trace_fn=ap_naive).match_count
         assert c1 == c2
 
     def test_independent_recount(self):
         # recount with ap_naive and the square-stripping oracle, sharing no
         # code with the scan
         x = 2000
-        count, _ = count_equal_fields(E1, E2, x, trace_fn=ap_naive)
+        count = scan_pair(E1, E2, x, trace_fn=ap_naive).match_count
         recount = 0
         for p in primes_in(0, x):
             if p in E1.bad_primes or p in E2.bad_primes:
@@ -115,7 +112,7 @@ class TestScanPair:
         assert count == recount
 
     def test_monotone_in_x(self):
-        counts = [count_equal_fields(E1, E2, x, trace_fn=ap_naive)[0] for x in (500, 1000, 2000)]
+        counts = [scan_pair(E1, E2, x, trace_fn=ap_naive).match_count for x in (500, 1000, 2000)]
         assert counts == sorted(counts)
 
     def test_rejects_tiny_x(self):
@@ -153,30 +150,31 @@ class TestCounters:
             count_fixed_field(E1, 12, 100)
 
     def test_joint_traces(self):
-        assert count_joint_traces(E1, E2, 300, 0, 2000, trace_fn=ap_naive) == 0
-        joint = count_joint_traces(E1, E2, 0, 0, 2000, trace_fn=ap_naive)
-        equal, _ = count_equal_fields(E1, E2, 2000, trace_fn=ap_naive)
-        assert joint <= equal
+        scan = scan_pair(E1, E2, 2000, trace_fn=ap_naive)
+        assert count_joint_traces(scan, 300, 0) == 0
+        joint = count_joint_traces(scan, 0, 0)
+        assert joint <= scan.match_count
 
     def test_joint_traces_recount(self):
         x = 1500
         good, _ = good_primes(x, E1, E2)
         expected = sum(1 for p in good if ap_naive(E1, p) == 0 and ap_naive(E2, p) == 0)
-        assert count_joint_traces(E1, E2, 0, 0, x, trace_fn=ap_naive) == expected
+        assert count_joint_traces(scan_pair(E1, E2, x, trace_fn=ap_naive), 0, 0) == expected
 
 
 @pytest.fixture(scope="module")
 def table() -> CheboTable:
-    return chebotarev_empirical(E1, E2, 3000, 3, 5, trace_fn=ap_naive)
+    return chebotarev_empirical(scan_pair(E1, E2, 3000, trace_fn=ap_naive), 3, 5)
 
 
 class TestChebotarev:
 
     def test_rejects_bad_moduli(self):
+        scan = scan_pair(E1, E2, 100, trace_fn=ap_naive)
         with pytest.raises(ValueError):
-            chebotarev_empirical(E1, E2, 100, 3, 3)
+            chebotarev_empirical(scan, 3, 3)
         with pytest.raises(ValueError):
-            chebotarev_empirical(E1, E2, 100, 2, 5)
+            chebotarev_empirical(scan, 2, 5)
 
     def test_total_partition(self, table):
         n = table.modulus

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from frobmatch import cli, gl2, verify
+from frobmatch import cli, experiment, gl2, verify
 from frobmatch.cache import cache_path, read_trace_cache, write_trace_cache
 from frobmatch.config import parse_config
 from frobmatch.elliptic import CurveQ, ap_naive
@@ -59,6 +59,23 @@ class TestCache:
 
     def test_missing_file_is_a_miss(self, tmp_path):
         assert read_trace_cache(str(tmp_path / "nope.tsv"), E1) == {}
+
+    def test_overlapping_writers_each_land_whole(self, tmp_path):
+        # a second writer runs to completion while the first is mid-file
+        path = cache_path(str(tmp_path), E1)
+        first = {p: ap_naive(E1, p) for p in (7, 13, 17)}
+        second = {7: first[7]}
+
+        class Interrupting(dict):
+            def __getitem__(self, p):
+                if p == 13:
+                    write_trace_cache(path, E1, second)
+                    assert read_trace_cache(path, E1) == second
+                return super().__getitem__(p)
+
+        write_trace_cache(path, E1, Interrupting(first))
+        assert read_trace_cache(path, E1) == first
+        assert [f.name for f in tmp_path.iterdir()] == [f"traces_A{E1.A}_B{E1.B}.tsv"]
 
 
 class TestComputeTraces:
@@ -191,6 +208,42 @@ class TestCli:
 
     def test_ap_bad_prime_is_config_error(self, capsys):
         assert cli.main(["ap", "0", "1", "3"]) == 2
+
+    @pytest.mark.parametrize("p", ["1001", "9", "1", "0", "-7", str(10**12 + 39)])
+    def test_ap_rejects_non_prime_or_huge_p(self, p, capsys):
+        assert cli.main(["ap", "0", "1", p]) == 2
+        assert f"p={p}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("experiment", ("z_policy = fixed:20\n", "")),  # default grh: z < 3
+            ("experiment", ("threads", "q1 = 3\nq2 = 3\nthreads")),
+            ("experiment", ("threads", "q1 = 11\nq2 = 13\nthreads")),  # table too large
+            ("sieve-demo", ("z_policy = fixed:20\n", "")),
+        ],
+        ids=["grh", "equal-moduli", "large-moduli", "sieve-demo-grh"],
+    )
+    def test_bad_config_fails_before_trace_work(self, tmp_path, monkeypatch, capsys, command, edit):
+        def no_traces(*args, **kwargs):
+            raise AssertionError("traces computed for a config that must fail")
+
+        monkeypatch.setattr(experiment, "compute_traces", no_traces)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(_config_text(50_000, "50000", 1).replace(*edit))
+        out = tmp_path / "o"
+        assert cli.main(["--out", str(out), command, str(cfg)]) == 2
+        assert list(out.iterdir()) == []
+
+    def test_arithmetic_error_is_verification_failure(self, tmp_path, monkeypatch, capsys):
+        def violated(*args):
+            raise ArithmeticError("square-sieve inequality violated: injected")
+
+        monkeypatch.setattr(cli, "sieve_bound_v2", violated)
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(_config_text(1000, "1000", 1))
+        assert cli.main(["--out", str(tmp_path / "o"), "sieve-demo", str(cfg)]) == 1
+        assert "verification failure: square-sieve" in capsys.readouterr().err
 
     def test_singular_curve_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -51,10 +51,9 @@ class TestMultiset:
             Multiset((1, 0, 3))
 
     def test_curve_pair_elements(self, demo_traces_1e4):
-        good, traces = demo_traces_1e4
         x = 10_000
-        a = curve_pair_multiset(E1, E2, x, traces)
-        scan = scan_pair(E1, E2, x, traces)
+        scan = demo_traces_1e4
+        a = curve_pair_multiset(scan, x)
         assert len(a) == len(scan.records)
         for elem, rec in zip(a.elements, scan.records):
             assert elem == (4 * rec.p - rec.a_p**2) * (4 * rec.p - rec.b_p**2)
@@ -62,7 +61,7 @@ class TestMultiset:
             assert elem <= 16 * x * x
 
     def test_identical_curves_all_squares(self):
-        a = curve_pair_multiset(E1, E1, 500, trace_fn=ap_naive)
+        a = curve_pair_multiset(scan_pair(E1, E1, 500, trace_fn=ap_naive), 500)
         assert square_count_exact(a) == len(a)
 
 
@@ -139,8 +138,7 @@ class TestSieveV2:
         assert rep.exact_square_count <= rep.bound_total
 
     def test_curve_multiset_end_to_end(self, demo_traces_1e4):
-        _, traces = demo_traces_1e4
-        a = curve_pair_multiset(E1, E2, 10_000, traces)
+        a = curve_pair_multiset(demo_traces_1e4, 10_000)
         rep = sieve_bound_v2(a, build_prime_window(30))
         assert rep.exact_square_count <= rep.bound_total
 
@@ -148,21 +146,22 @@ class TestSieveV2:
 class TestPrimeCharSum:
     def test_triangle_inequality(self):
         good, _ = good_primes(2000, E1, E2)
-        val = prime_char_sum(E1, E2, 2000, 3, 5, trace_fn=ap_naive)
+        val = prime_char_sum(scan_pair(E1, E2, 2000, trace_fn=ap_naive), 3, 5)
         assert abs(val) <= len(good)
 
     def test_identical_curves_nonnegative(self):
-        val = prime_char_sum(E1, E1, 1000, 3, 5, trace_fn=ap_naive)
+        val = prime_char_sum(scan_pair(E1, E1, 1000, trace_fn=ap_naive), 3, 5)
         assert val >= 0
 
     def test_cross_path_agreement(self):
-        direct = prime_char_sum(E1, E2, 2000, 3, 5, trace_fn=ap_naive)
-        classes = prime_char_sum_by_classes(E1, E2, 2000, 3, 5, trace_fn=ap_naive)
+        scan = scan_pair(E1, E2, 2000, trace_fn=ap_naive)
+        direct = prime_char_sum(scan, 3, 5)
+        classes = prime_char_sum_by_classes(scan, 3, 5)
         assert direct == classes
 
     def test_rejects_bad_pair(self):
         with pytest.raises(ValueError):
-            prime_char_sum(E1, E2, 100, 3, 3)
+            prime_char_sum(scan_pair(E1, E2, 100, trace_fn=ap_naive), 3, 3)
 
 
 class TestParameterChoices:
