@@ -165,11 +165,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_odd_prime(q: int) -> int:
+    """q for an odd prime q; ValueError otherwise."""
+    if q % 2 == 0 or not is_prime(q):
+        raise ValueError(f"need an odd prime, got {q}")
+    return q
+
+
+def check_unit(d: int, n: int) -> None:
+    """ValueError unless d is a unit mod n."""
+    if math.gcd(d, n) != 1:
+        raise ValueError(f"{d} is not a unit mod {n}")
+
+
 def check_odd_prime_pair(q1: int, q2: int) -> int:
     """q1 * q2 for two distinct odd primes; ValueError otherwise."""
-    if q1 == q2 or q1 % 2 == 0 or q2 % 2 == 0 or not (is_prime(q1) and is_prime(q2)):
+    if q1 == q2:
         raise ValueError(f"need two distinct odd primes, got ({q1}, {q2})")
-    return q1 * q2
+    return check_odd_prime(q1) * check_odd_prime(q2)
 
 
 def log_integral(x: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from frobmatch.arith import check_odd_prime_pair, is_prime, jacobi_symbol
+from frobmatch.arith import check_odd_prime, check_odd_prime_pair, check_unit, is_prime, jacobi_symbol
 
 CHARSUM_CSV_COLUMNS = ["q", "d", "bruteforce", "closed", "agree", "half_reduction", "half_agrees"]
 
@@ -25,27 +25,17 @@ CHARSUM_CSV_COLUMNS = ["q", "d", "bruteforce", "closed", "agree", "half_reductio
 TRIPLE_DIRECT_LIMIT = 10_000
 
 
-def _check_odd_prime(q: int) -> None:
-    if q % 2 == 0 or not is_prime(q):
-        raise ValueError(f"need an odd prime, got {q}")
-
-
-def _check_unit(d: int, q: int) -> None:
-    if math.gcd(d, q) != 1:
-        raise ValueError(f"{d} is not a unit mod {q}")
-
-
 def weil_sum_bruteforce(q: int, d: int) -> int:
     """Literal sum of Legendre symbols ((4d - x^2)/q) over x = 0..q-1."""
-    _check_odd_prime(q)
-    _check_unit(d, q)
+    check_odd_prime(q)
+    check_unit(d, q)
     return sum(jacobi_symbol(4 * d - x * x, q) for x in range(q))
 
 
 def weil_sum_closed(q: int, d: int) -> int:
     """Closed form of the complete sum: -((-1)/q), independent of the unit d."""
-    _check_odd_prime(q)
-    _check_unit(d, q)
+    check_odd_prime(q)
+    check_unit(d, q)
     return -1 if q % 4 == 1 else 1
 
 
@@ -54,8 +44,8 @@ def half_reduction(q: int, d: int) -> int:
 
     Recorded for reference only; it disagrees with the literal sum in general.
     """
-    _check_odd_prime(q)
-    _check_unit(d, q)
+    check_odd_prime(q)
+    check_unit(d, q)
     return (-jacobi_symbol(-1, q) + jacobi_symbol(d, q)) // 2
 
 
@@ -76,7 +66,7 @@ def jacobi_sum(q: int) -> int:
 
     Since chi is self-inverse this equals -chi(-1).
     """
-    _check_odd_prime(q)
+    check_odd_prime(q)
     return sum(jacobi_symbol(a, q) * jacobi_symbol(1 - a, q) for a in range(q))
 
 

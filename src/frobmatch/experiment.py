@@ -101,24 +101,24 @@ def compute_traces(
     return traces
 
 
-def _load_cache(cfg: ExperimentConfig, curve: CurveQ) -> dict[int, int]:
+def _cached_traces(cfg: ExperimentConfig, curve: CurveQ, good: list[int]) -> dict[int, int]:
+    """compute_traces through the curve's cache file, if one is configured;
+    the file is rewritten only when traces were added to it."""
     if cfg.cache_dir is None:
-        return {}
-    return read_trace_cache(cache_path(cfg.cache_dir, curve), curve)
-
-
-def _store_cache(cfg: ExperimentConfig, curve: CurveQ, traces: dict[int, int]) -> None:
-    if cfg.cache_dir is not None:
-        write_trace_cache(cache_path(cfg.cache_dir, curve), curve, traces)
+        return compute_traces(curve, good, cfg.threads)
+    path = cache_path(cfg.cache_dir, curve)
+    cached = read_trace_cache(path, curve)
+    traces = compute_traces(curve, good, cfg.threads, cached)
+    if len(traces) > len(cached):
+        write_trace_cache(path, curve, traces)
+    return traces
 
 
 def pair_scan(cfg: ExperimentConfig) -> PairScan:
     """The configured pair's PairScan at x_max, traces cached and parallel."""
     good, _ = good_primes(cfg.x_max, cfg.curve1, cfg.curve2)
-    t1 = compute_traces(cfg.curve1, good, cfg.threads, _load_cache(cfg, cfg.curve1))
-    t2 = compute_traces(cfg.curve2, good, cfg.threads, _load_cache(cfg, cfg.curve2))
-    _store_cache(cfg, cfg.curve1, t1)
-    _store_cache(cfg, cfg.curve2, t2)
+    t1 = _cached_traces(cfg, cfg.curve1, good)
+    t2 = _cached_traces(cfg, cfg.curve2, good)
     # scan_pair hands back the very curve objects it is given; an identity
     # test is a third of the cost of hashing a CurveQ per lookup
     return scan_pair(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Callable, Iterable
 
 from frobmatch.arith import (
@@ -69,11 +70,12 @@ class PairScan:
 
 def good_primes(x: int, *curves: CurveQ) -> tuple[list[int], list[int]]:
     """Primes p <= x split into (good for every curve, excluded)."""
+    primes = primes_in(0, x)
     bad: set[int] = {2, 3}
     for c in curves:
-        bad |= c.bad_primes
+        bad.update(filterfalse(c.is_good, primes))
     good, skipped = [], []
-    for p in primes_in(0, x):
+    for p in primes:
         (skipped if p in bad else good).append(p)
     return good, skipped
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from frobmatch.arith import check_odd_prime_pair, is_prime, jacobi_symbol
+from frobmatch.arith import check_odd_prime, check_odd_prime_pair, check_unit, factorize, jacobi_symbol
 
 # Largest modulus we enumerate directly (modulus**4 matrices).
 ENUM_LIMIT = 35
@@ -26,18 +26,15 @@ GL2_CSV_COLUMNS = ["q1", "q2", "d", "s", "t", "formula", "bruteforce", "equal"]
 
 def count_det_trace_single(q: int, d: int, t: int) -> int:
     """#{g in GL2(Z/q) : det g = d, tr g = t} = q(q + ((t^2-4d)/q))."""
-    if q % 2 == 0 or not is_prime(q):
-        raise ValueError(f"need an odd prime, got {q}")
-    if math.gcd(d, q) != 1:
-        raise ValueError(f"determinant {d} is not a unit mod {q}")
+    check_odd_prime(q)
+    check_unit(d, q)
     return q * (q + jacobi_symbol(t * t - 4 * d, q))
 
 
 def count_det_trace_formula(q1: int, q2: int, d: int, t: int) -> int:
     """Matrix count with fixed unit determinant d and trace t mod q1*q2."""
     n = check_odd_prime_pair(q1, q2)
-    if math.gcd(d, n) != 1:
-        raise ValueError(f"determinant {d} is not a unit mod {n}")
+    check_unit(d, n)
     return (
         q1
         * q2
@@ -67,16 +64,15 @@ def _check_enum_modulus(q: int) -> None:
         raise ValueError(f"modulus {q} too large to enumerate (limit {ENUM_LIMIT})")
     if q % 2 == 0 or q < 3:
         raise ValueError(f"modulus must be odd and >= 3, got {q}")
-    facs = [p for p in range(2, q + 1) if q % p == 0 and is_prime(p)]
-    if any(q % (p * p) == 0 for p in facs) or len(facs) > 2:
+    facs = factorize(q)
+    if any(e > 1 for e in facs.values()) or len(facs) > 2:
         raise ValueError(f"modulus must be a prime or a product of two distinct primes, got {q}")
 
 
 def count_det_trace_bruteforce(q: int, d: int, t: int) -> int:
     """Exhaustive count of matrices mod q with det = d (a unit) and trace = t."""
     _check_enum_modulus(q)
-    if math.gcd(d, q) != 1:
-        raise ValueError(f"determinant {d} is not a unit mod {q}")
+    check_unit(d, q)
     return int(det_trace_histogram(q)[d % q, t % q])
 
 
@@ -115,8 +111,7 @@ def pair_class_count(q1: int, q2: int, d: int, s: int, t: int) -> int:
 def pair_class_count_bruteforce(q1: int, q2: int, d: int, s: int, t: int) -> int:
     n = check_odd_prime_pair(q1, q2)
     hist = det_trace_histogram(n)
-    if math.gcd(d, n) != 1:
-        raise ValueError(f"determinant {d} is not a unit mod {n}")
+    check_unit(d, n)
     return int(hist[d % n, s % n]) * int(hist[d % n, t % n])
 
 

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import frobmatch
+from frobmatch import elliptic
 from frobmatch.arith import primes_in
 from frobmatch.elliptic import (
     BSGS_MIN_PRIME,
@@ -10,6 +16,7 @@ from frobmatch.elliptic import (
     count_points,
     quadratic_twist,
 )
+from frobmatch.frobenius import good_primes
 
 
 def count_points_slow(curve: CurveQ, p: int) -> int:
@@ -37,6 +44,18 @@ class TestCurveQ:
     def test_bad_primes_divide_six_disc(self):
         e = CurveQ(2, 3)
         assert all((6 * e.discriminant) % p == 0 for p in e.bad_primes)
+
+    def test_goodness_needs_no_factoring(self, monkeypatch):
+        # 6*disc of A = 10^6 has ~21 digits: factoring it would sieve to ~10^10
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(elliptic, "factorize", refuse)
+        e = CurveQ(10**6, 1)
+        good, skipped = good_primes(1000, e)
+        assert good == [p for p in primes_in(3, 1000) if (6 * e.discriminant) % p]
+        assert all((6 * e.discriminant) % p == 0 for p in skipped if p > 3)
+        assert skipped[:2] == [2, 3]
 
 
 class TestApNaive:
@@ -87,6 +106,29 @@ class TestApBsgs:
         for p in primes_in(BSGS_MIN_PRIME, 2500):
             if curve.is_good(p):
                 assert ap_bsgs(curve, p) == ap_naive(curve, p)
+
+    # the primes in (10^5, 10^5 + 5000] where a sampler drawing points on E
+    # alone needed the quadratic twist to pin the group order down
+    @pytest.mark.parametrize(
+        "curve, p",
+        [(CurveQ(0, 1), p) for p in (101281, 102121, 103231, 104347)]
+        + [(CurveQ(1, 0), p) for p in (100801, 103393, 103969)],
+    )
+    def test_agrees_with_naive_where_twist_decides(self, curve, p):
+        assert ap_bsgs(curve, p) == ap_naive(curve, p)
+
+    def test_composite_modulus_raises(self):
+        # in a child process, so a sampler that loops forever fails the test
+        code = (
+            "from frobmatch.elliptic import CurveQ, ap_bsgs\n"
+            "try:\n    ap_bsgs(CurveQ(0, 1), 1001)\n"
+            "except ValueError as e:\n    print('ValueError', e)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(frobmatch.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=10, env=env
+        )
+        assert out.stdout.startswith("ValueError p=1001 is not prime")
 
     def test_deterministic(self):
         e = CurveQ(-4, 4)

@@ -1,5 +1,6 @@
 """Cache, experiment orchestration, SVG, verification gates, and the CLI."""
 
+import os
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -124,6 +125,18 @@ class TestRunExperiment:
                 f: (out / f).read_bytes() for f in ("match.csv", "growth.csv", "sieve.csv")
             }
         assert outs["t1-cold"] == outs["t2-cold"] == outs["t2-warm"]
+
+    def test_warm_rerun_leaves_cache_files_alone(self, tmp_path):
+        cache = tmp_path / "cache"
+        experiment.pair_scan(parse_config(_config_text(1500, "1500", 1, cache)))
+        paths = [cache_path(str(cache), c) for c in (E1, E2)]
+        before = [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in paths]
+        experiment.pair_scan(parse_config(_config_text(1500, "1000, 1500", 1, cache)))
+        assert [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in paths] == before
+        # a wider x adds traces, so each file is rewritten with them
+        experiment.pair_scan(parse_config(_config_text(2000, "2000", 1, cache)))
+        good, _ = good_primes(2000, E1, E2)
+        assert all(set(read_trace_cache(f, c)) == set(good) for f, c in zip(paths, (E1, E2)))
 
     def test_artifacts_exist(self, tmp_path):
         cfg = parse_config(_config_text(1500, "1500", 1))
