@@ -17,7 +17,7 @@ from frobmatch.arith import (
     squarefree_part,
 )
 from frobmatch.charsum import jacobi_sum, triple_sum, weil_sum_bruteforce, weil_sum_closed
-from frobmatch.elliptic import CurveQ, TraceRecord, ap_bsgs, ap_naive, count_points
+from frobmatch.elliptic import CurveQ, TraceRecord, ap_bsgs, ap_lanes, ap_naive, count_points
 from frobmatch.frobenius import (
     FrobeniusFieldTag,
     MatchRecord,
@@ -64,6 +64,7 @@ __all__ = [
     "SievePrimeSet",
     "SieveReport",
     "ap_bsgs",
+    "ap_lanes",
     "ap_naive",
     "build_prime_window",
     "chebotarev_empirical",

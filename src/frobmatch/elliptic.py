@@ -1,13 +1,15 @@
 """Reduction of integral curves y^2 = x^3 + Ax + B mod good primes and the
 trace of Frobenius a_p = p + 1 - #E(F_p).
 
-Two routes are provided:
+Three routes are provided:
 
 * `ap_naive`  -- the exact O(p) Legendre-symbol sum; the ground truth.
 * `ap_bsgs`   -- baby-step/giant-step order finding in the Hasse interval on
   points sampled from E and its quadratic twist at once (Shanks-Mestre, as in
   Cohen, A Course in Computational Algebraic Number Theory, Alg. 7.4.12),
   with lcm-of-orders disambiguation and a final fallback to `ap_naive`.
+* `ap_lanes`  -- the same search for a list of primes, run in lockstep with
+  one int64 numpy lane per prime; lanes it cannot settle go to `ap_bsgs`.
 
 The is-a-good-prime test uses the discriminant surrogate: bad primes are the
 primes dividing 6*disc, a finite superset of the primes of bad reduction.
@@ -21,7 +23,9 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from frobmatch.arith import factorize
+import numpy as np
+
+from frobmatch.arith import factorize, is_prime
 
 # Below this, interval order-finding gains nothing over the direct sum.
 BSGS_MIN_PRIME = 457
@@ -74,7 +78,10 @@ class TraceRecord:
 
 
 def _require_good(curve: CurveQ, p: int) -> None:
-    if not curve.is_good(p):
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    # 2 and 3 divide 6*disc, so p < 5 is bad for every curve
+    if p < 5 or not curve.is_good(p):
         raise ValueError(f"p={p} is a bad prime for {curve.label()}; skip it")
 
 
@@ -190,7 +197,7 @@ def _group_order(a: int, b: int, p: int, rng: random.Random) -> int | None:
     For f = x^3 + ax + b != 0 the point (xf, f^2) lies on
     y^2 = x^3 + a f^2 x + b f^3, which is E when f is a square and the
     quadratic twist E' when it is not; #E + #E' = 2p + 2.  No square root is
-    needed.  Raises ValueError when the Euler criterion shows p is composite.
+    needed.  p must be prime.
     """
     half = math.isqrt(4 * p)
     lo, hi, s = p + 1 - half, p + 1 + half, 2 * p + 2
@@ -200,11 +207,8 @@ def _group_order(a: int, b: int, p: int, rng: random.Random) -> int | None:
         f = (x * x % p * x + a * x + b) % p
         if f == 0:
             continue
-        euler = pow(f, (p - 1) // 2, p)
-        if euler != 1 and euler != p - 1:
-            raise ValueError(f"p={p} is not prime: {f}^((p-1)/2) = {euler}")
         order = _point_order((x * f % p, f * f % p), a * f * f % p, p, lo, hi)
-        if euler == 1:
+        if pow(f, (p - 1) // 2, p) == 1:
             lcm_e = math.lcm(lcm_e, order)
         else:
             lcm_t = math.lcm(lcm_t, order)
@@ -235,6 +239,257 @@ def ap_bsgs(curve: CurveQ, p: int) -> int:
     a_p = p + 1 - order
     assert a_p * a_p <= 4 * p, f"Hasse violated: a_p={a_p} at p={p}"
     return a_p
+
+
+# ---------------------------------------------------------------------------
+# The lane kernel: the BSGS search for many primes at once, one int64 numpy
+# lane per prime.  Points are homogeneous projective (X : Y : Z), one int64
+# array per coordinate; Z = 0 is the identity.  Every product is of two
+# residues already reduced mod p.
+
+# Primes below this get a lane: a product of two residues plus a few more
+# residues stays below 2^63 (p < 3.037e9), and a residue fits the 32 bits it
+# has in a match key.  Larger primes take the scalar path.
+LANE_MAX_PRIME = 3_030_000_000
+
+# Lanes per kernel call (below 2^21, the room a lane index has in a match
+# key).  The tables hold about 2 sqrt(2) p^(1/4) rows of 8-byte entries per
+# lane, so this bounds the kernel's memory.
+LANE_BATCH = 1024
+
+Lanes = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _lane_dbl(P: Lanes, a: np.ndarray, p: np.ndarray) -> Lanes:
+    """2P (dbl-2007-bl); a point with Y = 0, or the identity, doubles to Z = 0."""
+    X, Y, Z = P
+    xx = X * X % p
+    w = (a * (Z * Z % p) + 3 * xx) % p
+    s = 2 * (Y * Z % p) % p
+    r = Y * s % p
+    rr = r * r % p
+    xr = (X + r) % p
+    b = (xr * xr - xx - rr) % p
+    h = (w * w - 2 * b) % p
+    return h * s % p, (w * ((b - h) % p) - 2 * rr) % p, s * (s * s % p) % p
+
+
+def _lane_add(P: Lanes, Q: Lanes, a: np.ndarray, p: np.ndarray) -> Lanes:
+    """P + Q (add-1998-cmo-2), complete: P + (-P) gives Z = 0 from the formula
+    itself, and the few lanes with P = Q or an identity operand are redone
+    apart (doubling, or the other operand)."""
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    y1z2 = Y1 * Z2 % p
+    x1z2 = X1 * Z2 % p
+    z1z2 = Z1 * Z2 % p
+    u = (Y2 * Z1 - y1z2) % p
+    v = (X2 * Z1 - x1z2) % p
+    vv = v * v % p
+    vvv = v * vv % p
+    r = vv * x1z2 % p
+    c = (u * u % p * z1z2 - vvv - 2 * r) % p
+    X3 = v * c % p
+    Y3 = (u * ((r - c) % p) - vvv * y1z2) % p  # a difference of two products < p^2
+    Z3 = vvv * z1z2 % p
+    i = np.flatnonzero((v == 0) | (Z1 == 0) | (Z2 == 0))
+    if i.size:
+        inf1, inf2 = Z1[i] == 0, Z2[i] == 0
+        same = i[(u[i] == 0) & (v[i] == 0) & ~inf1 & ~inf2]
+        X3[same], Y3[same], Z3[same] = _lane_dbl((X1[same], Y1[same], Z1[same]), a[same], p[same])
+        for out, q1, q2 in zip((X3, Y3, Z3), P, Q):
+            out[i] = np.where(inf1, q2[i], np.where(inf2, q1[i], out[i]))
+    return X3, Y3, Z3
+
+
+def _lane_mul(n: np.ndarray, table: Lanes, a: np.ndarray, p: np.ndarray) -> Lanes:
+    """n_i P_i for positive scalars n_i, where row e - 1 of each (rows, lanes)
+    table holds eP: by w-bit windows, the largest w with 2^w - 1 <= rows."""
+    X, Y, Z = table
+    w = (len(X) + 1).bit_length() - 1
+    lane = np.arange(len(p))
+    R = None
+    top = -(-int(n.max()).bit_length() // w) * w
+    for shift in range(top - w, -1, -w):
+        d = (n >> shift) & ((1 << w) - 1)
+        row = d - 1  # the last row when d = 0, which Z = 0 then turns into O
+        T = (X[row, lane], Y[row, lane], np.where(d == 0, 0, Z[row, lane]))
+        if R is None:
+            R = T
+            continue
+        for _ in range(w):
+            R = _lane_dbl(R, a, p)
+        R = _lane_add(R, T, a, p)
+    return R
+
+
+def _lane_pow(b: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """b_i^n_i mod p_i for nonnegative exponents n_i."""
+    r = np.ones_like(p)
+    for bit in range(int(n.max()).bit_length() - 1, -1, -1):
+        r = r * r % p
+        r = np.where((n >> bit) & 1 == 1, r * b % p, r)
+    return r
+
+
+def _lane_invert(Z: np.ndarray, p: np.ndarray) -> None:
+    """Replace each entry of a (rows, lanes) table without zeros by its
+    inverse mod p, through Montgomery's simultaneous inversion along the rows
+    (Math. Comp. 48, 1987): one Fermat inverse per lane."""
+    acc = np.empty_like(Z)  # acc[i] = Z[0] Z[1] ... Z[i]
+    acc[0] = Z[0]
+    for i in range(1, len(Z)):
+        acc[i] = acc[i - 1] * Z[i] % p
+    inv = _lane_pow(acc[-1], p - 2, p)
+    for i in range(len(Z) - 1, 0, -1):
+        inv, Z[i] = inv * Z[i] % p, inv * acc[i - 1] % p  # 1/(Z[0]..Z[i-1]), 1/Z[i]
+    Z[0] = inv
+
+
+def _splitmix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser on uint64 arrays (wrapping arithmetic)."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _lane_tables(P: Lanes, a: np.ndarray, p: np.ndarray, s: int, K: int):
+    """(X, Y, inf): tables of shape (s + 2K + 1, lanes).  Row e holds
+    (e + 1)P for e < s, row s + i holds Q - (i - K)(2s + 1)P with
+    Q = (p + 1)P; X and Y are the affine x and y, and inf marks O."""
+    X, Y, Z = (np.empty((s + 2 * K + 1, len(p)), np.int64) for _ in range(3))
+    R = P
+    for e in range(s):
+        if e:
+            R = _lane_dbl(P, a, p) if e == 1 else _lane_add(R, P, a, p)
+        X[e], Y[e], Z[e] = R
+    D = _lane_add(_lane_dbl(R, a, p), P, a, p)  # (2s+1)P
+    minus_D = (D[0], (p - D[1]) % p, D[2])
+    R = _lane_mul(p + 1 + K * (2 * s + 1), (X[:s], Y[:s], Z[:s]), a, p)
+    for i in range(2 * K + 1):
+        if i:
+            R = _lane_add(R, minus_D, a, p)
+        X[s + i], Y[s + i], Z[s + i] = R
+    inf = Z == 0
+    Z[inf] = 1  # identities stay out of the inversion
+    _lane_invert(Z, p)
+    for T in (X, Y):
+        T *= Z
+        T %= p
+    return X, Y, inf
+
+
+def _lane_match(X: np.ndarray, Y: np.ndarray, inf: np.ndarray, s: int, K: int, h: np.ndarray):
+    """(t, count) per lane from `_lane_tables`: count is the number of t in
+    [-h, h] with tP = Q, and t is one of them; count = -1 when P has order
+    <= 2s (when s <= h, several t fit then anyway).  Overwrites X.
+
+    eP (e <= s) is O, has y = 0 or repeats an x exactly when P has order
+    <= 2s.  Otherwise the 2s + 1 points jP (|j| <= s) are distinct, so each
+    giant point is at most one of them: an x match, with y deciding the sign
+    of j, or O for j = 0.
+    """
+    step = 2 * s + 1
+    L = X.shape[1]
+    small = inf[:s].any(axis=0) | (Y[:s] == 0).any(axis=0)
+    # match keys lane | x | row; no residue x < p is 2^32 - 1, so identities
+    # match nothing, and rows < 1024 since s + 2K + 1 < 700 for p < LANE_MAX_PRIME
+    X[inf] = 0xFFFFFFFF
+    X <<= 10
+    X |= np.arange(len(X))[:, None]
+    X |= np.arange(L, dtype=np.int64) << 42
+    keys = X.ravel()
+    keys.sort()
+    row = keys.astype(np.int32)  # the low 32 bits
+    row &= 1023
+    keys >>= 10  # (lane << 32) | x
+    baby = row < s
+    same = keys[1:] == keys[:-1]
+    small[keys[1:][same & baby[1:] & baby[:-1]] >> 32] = True
+    group = np.zeros(len(keys), np.int32)  # equal keys, equal group
+    np.cumsum(~same, out=group[1:])
+    last = np.where(baby, np.arange(len(keys), dtype=np.int32), 0)
+    np.maximum.accumulate(last, out=last)  # the latest baby position
+    hit = np.flatnonzero(~baby & baby[last] & (group[last] == group))
+    lane = keys[hit] >> 32
+    g, e = row[hit], row[last[hit]]  # giant row; baby row e holds (e + 1)P
+    j = np.where(Y[g, lane] == Y[e, lane], e + 1, -e - 1)
+    rows, zero_lanes = np.nonzero(inf[s:])
+    lanes = np.concatenate((lane, zero_lanes))
+    t = np.concatenate(((g - s - K) * step + j, (rows - K) * step))
+    inside = np.abs(t) <= h[lanes]
+    lanes, t = lanes[inside], t[inside]
+    found = np.zeros(L, np.int64)
+    found[lanes] = t
+    count = np.bincount(lanes, minlength=L)
+    count[small] = -1
+    return found, count
+
+
+def _lane_round(curve: CurveQ, p: np.ndarray, rnd: int) -> tuple[np.ndarray, np.ndarray]:
+    """One sampled point per lane: (t, resolved), with a_p = t on the resolved lanes.
+
+    The point is `_group_order`'s (xf, f^2) on the twist of E by
+    f = x^3 + ax + b, with x a hash of (A mod p, B mod p, p, rnd) alone, so a
+    lane's point does not depend on the batch around it.  With Q = (p+1)P,
+    a baby table eP (e = 1..s) and giant points Q - k(2s+1)P (|k| <= K),
+    every t in [-h, h] with tP = Q is k(2s+1) + j for one (k, j), |j| <= s.
+    The lane is resolved when exactly one such t exists; then t is the trace
+    of the curve P lies on, which is a_p or, on the twist, -a_p.
+    """
+    primes = p.tolist()
+    a = np.array([curve.A % q for q in primes], dtype=np.int64)
+    b = np.array([curve.B % q for q in primes], dtype=np.int64)
+    h = np.array([math.isqrt(4 * q) for q in primes], dtype=np.int64)
+    u64 = p.astype(np.uint64)
+    z = _splitmix(_splitmix(_splitmix(u64) ^ a.astype(np.uint64)) ^ b.astype(np.uint64))
+    x = (_splitmix(z + np.uint64(rnd)) % u64).astype(np.int64)
+    f = (x * x % p * x + a * x % p + b) % p
+    euler = _lane_pow(f, (p - 1) // 2, p)
+    composite = (f != 0) & (euler != 1) & (euler != p - 1)
+    if composite.any():
+        q = int(p[composite][0])
+        raise ValueError(f"p={q} is not prime: Euler's criterion fails")
+    ff = f * f % p
+    P = (x * f % p, ff, np.ones_like(p))
+    hmax = int(h.max())
+    s = math.isqrt(hmax) + 1
+    K = max(0, -(-(hmax - s) // (2 * s + 1)))
+    X, Y, inf = _lane_tables(P, a * ff % p, p, s, K)
+    t, count = _lane_match(X, Y, inf, s, K, h)
+    return np.where(euler == 1, t, -t), (count == 1) & (f != 0)
+
+
+def ap_lanes(curve: CurveQ, primes: list[int]) -> list[int]:
+    """[a_p for p in primes]: the values of `ap_bsgs`, computed with one int64
+    numpy lane per prime.
+
+    Round r samples one point on every lane still open, up to LANE_BATCH
+    lanes at a time (consecutive primes in round 0).  Primes <= BSGS_MIN_PRIME
+    or >= LANE_MAX_PRIME and lanes still open after MAX_POINTS rounds are
+    computed by `ap_bsgs`; so are bad primes, which it rejects with
+    ValueError.  Lanes do not test primality (that needs trial division per
+    prime); their Euler check raises ValueError on most composites.
+    """
+    kernel = [BSGS_MIN_PRIME < q < LANE_MAX_PRIME and curve.is_good(q) for q in primes]
+    p = np.fromiter((q for q, k in zip(primes, kernel) if k), dtype=np.int64)
+    traces = np.zeros_like(p)
+    open_ = np.arange(len(p))
+    for rnd in range(MAX_POINTS):
+        left = []
+        for start in range(0, len(open_), LANE_BATCH):
+            j = open_[start : start + LANE_BATCH]
+            t, resolved = _lane_round(curve, p[j], rnd)
+            traces[j[resolved]] = t[resolved]
+            left.append(j[~resolved])
+        open_ = np.concatenate(left) if left else open_
+    found: list[int | None] = traces.tolist()
+    for j in open_.tolist():
+        found[j] = None
+    lanes = iter(found)
+    out = [next(lanes) if k else None for k in kernel]
+    return [ap_bsgs(curve, q) if t is None else t for q, t in zip(primes, out)]
 
 
 def quadratic_twist(curve: CurveQ, d: int) -> CurveQ:

@@ -2,8 +2,9 @@
 series against the bound shapes, sieve reports per checkpoint, and CSV/SVG
 artifacts.
 
-Work units are fixed-size blocks of primes handed to a process pool (thread
-pools would serialize on the interpreter lock for this pure-Python load);
+Work units are fixed-size blocks of primes handed to a process pool (the
+trace kernel runs Python between its many small numpy calls, so threads
+would contend for the interpreter lock);
 results are merged in block order, so output is a function of the config
 alone, independent of worker count and cache state.
 """
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from frobmatch.arith import log_integral
 from frobmatch.cache import cache_path, read_trace_cache, write_trace_cache
 from frobmatch.config import ExperimentConfig
-from frobmatch.elliptic import CurveQ, ap_bsgs
+# ap_bsgs is the lane kernel's scalar fallback; perfbench's tracer wraps this binding too
+from frobmatch.elliptic import CurveQ, ap_bsgs, ap_lanes  # noqa: F401
 from frobmatch.frobenius import (
     MatchRecord,
     PairScan,
@@ -73,8 +75,7 @@ class GrowthSeries:
 
 def _trace_block(args: tuple[int, int, tuple[int, ...]]) -> list[int]:
     a, b, primes = args
-    curve = CurveQ(a, b)
-    return [ap_bsgs(curve, p) for p in primes]
+    return ap_lanes(CurveQ(a, b), list(primes))
 
 
 def compute_traces(

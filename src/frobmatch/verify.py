@@ -4,7 +4,8 @@ brute-force twin.  Any disagreement is a hard failure.
 Suites
   gl2       matrix counts, group order, partition identity
   charsum   complete sums, Jacobi sums, triple-sum path agreement
-  elliptic  trace formula vs point enumeration, accelerator vs exact sum
+  elliptic  trace formula vs point enumeration, both accelerators (scalar
+            and lane kernel) vs exact sum
   sieve     square detection, version-2 inequality, window density,
             character-sum path agreement
 """
@@ -24,7 +25,7 @@ from frobmatch.charsum import (
     jacobi_symbol,
     triple_sum,
 )
-from frobmatch.elliptic import CurveQ, ap_bsgs, ap_naive
+from frobmatch.elliptic import CurveQ, ap_bsgs, ap_lanes, ap_naive
 from frobmatch.frobenius import scan_pair
 from frobmatch.gl2 import (
     GL2_CSV_COLUMNS,
@@ -110,26 +111,25 @@ def verify_charsum(out_dir: str | None = None) -> tuple[bool, str]:
 
 
 def verify_elliptic(p_max_naive: int = 1000, p_max_bsgs: int = 10_000) -> tuple[bool, str]:
-    mism_enum = mism_bsgs = 0
+    """ap_naive against point enumeration below p_max_naive; ap_bsgs and the
+    lane kernel ap_lanes (the engine experiments use) against ap_naive below
+    p_max_bsgs."""
+    mism_enum = mism_bsgs = mism_lanes = 0
     checked = 0
     for curve in TEST_CURVES:
-        for p in primes_in(3, p_max_bsgs):
-            if not curve.is_good(p):
-                continue
-            checked += 1
-            fast = ap_bsgs(curve, p)
-            if p < p_max_naive:
-                a = ap_naive(curve, p)
-                if a != p + 1 - count_points_enumeration(curve, p):
-                    mism_enum += 1
-                if fast != a:
-                    mism_bsgs += 1
-            elif fast != ap_naive(curve, p):
-                mism_bsgs += 1
-    ok = mism_enum == 0 and mism_bsgs == 0
+        good = [p for p in primes_in(3, p_max_bsgs) if curve.is_good(p)]
+        checked += len(good)
+        for p, lane in zip(good, ap_lanes(curve, good)):
+            a = ap_naive(curve, p)
+            if p < p_max_naive and a != p + 1 - count_points_enumeration(curve, p):
+                mism_enum += 1
+            mism_bsgs += ap_bsgs(curve, p) != a
+            mism_lanes += lane != a
+    ok = mism_enum == mism_bsgs == mism_lanes == 0
     return ok, (
         f"elliptic: {checked} traces over {len(TEST_CURVES)} curves; "
-        f"enumeration mismatches: {mism_enum}; accelerator mismatches: {mism_bsgs}"
+        f"enumeration mismatches: {mism_enum}; accelerator mismatches: {mism_bsgs}; "
+        f"lane-kernel mismatches: {mism_lanes}"
     )
 
 
