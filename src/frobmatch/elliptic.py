@@ -1,15 +1,16 @@
 """Reduction of integral curves y^2 = x^3 + Ax + B mod good primes and the
 trace of Frobenius a_p = p + 1 - #E(F_p).
 
-Three routes are provided:
+Two routes are provided, an oracle and an engine that shares nothing with it:
 
 * `ap_naive`  -- the exact O(p) Legendre-symbol sum; the ground truth.
-* `ap_bsgs`   -- baby-step/giant-step order finding in the Hasse interval on
-  points sampled from E and its quadratic twist at once (Shanks-Mestre, as in
+* `ap_lanes`  -- baby-step/giant-step search in the Hasse interval on points
+  sampled from E and its quadratic twist at once (Shanks-Mestre, as in
   Cohen, A Course in Computational Algebraic Number Theory, Alg. 7.4.12),
-  with lcm-of-orders disambiguation and a final fallback to `ap_naive`.
-* `ap_lanes`  -- the same search for a list of primes, run in lockstep with
-  one int64 numpy lane per prime; lanes it cannot settle go to `ap_bsgs`.
+  run in lockstep over a list of primes with one numpy lane per prime; the
+  primes it does not settle go to `ap_naive`.
+
+`ap_bsgs(curve, p)` is the one-prime entry point to `ap_lanes`.
 
 The is-a-good-prime test uses the discriminant surrogate: bad primes are the
 primes dividing 6*disc, a finite superset of the primes of bad reduction.
@@ -19,7 +20,6 @@ All counters downstream report which primes were excluded.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,16 +27,11 @@ import numpy as np
 
 from frobmatch.arith import factorize, is_prime
 
-# Below this, interval order-finding gains nothing over the direct sum.
+# Mestre's bound: for p > 457, E or its quadratic twist has a point of order
+# > 4 sqrt(p), so that order has exactly one multiple in the Hasse interval
+# and the search can settle p.  At or below it nothing guarantees such a
+# point, and those primes take the direct sum.
 BSGS_MIN_PRIME = 457
-
-# Points sampled per prime before ap_bsgs falls back to ap_naive.  Over five
-# test curves (two CM) at 10^5 < p < 1.3*10^5, 98% of primes needed one point
-# and none needed more than 8.
-MAX_POINTS = 16
-
-# Affine points are (x, y) tuples; the point at infinity is None.
-Point = tuple[int, int] | None
 
 
 @dataclass(frozen=True)
@@ -117,145 +112,27 @@ def count_points(curve: CurveQ, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Mod-p point arithmetic (affine; None is the identity).
+# The lane kernel: the BSGS search for many primes at once, one numpy lane per
+# prime.  Points are homogeneous projective (X : Y : Z), one array per
+# coordinate; Z = 0 is the identity.  Every product is of two residues
+# already reduced mod p.
 
-
-def _add(P: Point, Q: Point, a: int, p: int) -> Point:
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return (x3, (lam * (x1 - x3) - y1) % p)
-
-
-def _mul(k: int, P: Point, a: int, p: int) -> Point:
-    R: Point = None
-    Q = P
-    while k:
-        if k & 1:
-            R = _add(R, Q, a, p)
-        Q = _add(Q, Q, a, p)
-        k >>= 1
-    return R
-
-
-def _order_from_multiple(P: Point, m: int, a: int, p: int) -> int:
-    # m is a positive multiple of ord(P); strip primes while P still dies.
-    d = m
-    for ell in factorize(m):
-        while d % ell == 0 and _mul(d // ell, P, a, p) is None:
-            d //= ell
-    return d
-
-
-def _point_order(P: Point, a: int, p: int, lo: int, hi: int) -> int:
-    """ord(P), found via BSGS for a multiple of it inside [lo, hi].
-
-    [lo, hi] must contain a multiple of ord(P); the Hasse interval always
-    does, since the group order annihilates every point.
-    """
-    width = hi - lo + 1
-    s = math.isqrt(width) + 1
-    baby: dict[tuple[int, int], int] = {}
-    Q: Point = None
-    for j in range(s):
-        if j:
-            Q = _add(Q, P, a, p)
-            if Q is None:
-                return j  # first return to identity is the exact order
-            baby.setdefault(Q, j)
-    sP = _mul(s, P, a, p)
-    if sP is None:
-        return s
-    R = _mul(lo, P, a, p)
-    for i in range(width // s + 2):
-        if R is None:
-            return _order_from_multiple(P, lo + i * s, a, p)
-        x, y = R
-        j = baby.get((x, (p - y) % p))
-        if j is not None:
-            return _order_from_multiple(P, lo + i * s + j, a, p)
-        j = baby.get(R)
-        if j is not None and lo + i * s - j > 0:
-            return _order_from_multiple(P, lo + i * s - j, a, p)
-        R = _add(R, sP, a, p)
-    raise ArithmeticError(f"no annihilating multiple in [{lo},{hi}] at p={p}")
-
-
-def _group_order(a: int, b: int, p: int, rng: random.Random) -> int | None:
-    """#E(F_p) if the point orders of up to MAX_POINTS samples pin it down.
-
-    For f = x^3 + ax + b != 0 the point (xf, f^2) lies on
-    y^2 = x^3 + a f^2 x + b f^3, which is E when f is a square and the
-    quadratic twist E' when it is not; #E + #E' = 2p + 2.  No square root is
-    needed.  p must be prime.
-    """
-    half = math.isqrt(4 * p)
-    lo, hi, s = p + 1 - half, p + 1 + half, 2 * p + 2
-    lcm_e = lcm_t = 1  # lcm of the point orders seen on E and on E'
-    for _ in range(MAX_POINTS):
-        x = rng.randrange(p)
-        f = (x * x % p * x + a * x + b) % p
-        if f == 0:
-            continue
-        order = _point_order((x * f % p, f * f % p), a * f * f % p, p, lo, hi)
-        if pow(f, (p - 1) // 2, p) == 1:
-            lcm_e = math.lcm(lcm_e, order)
-        else:
-            lcm_t = math.lcm(lcm_t, order)
-        # the n in [lo, hi] with lcm_e | n and lcm_t | s - n, stepping by the
-        # larger lcm ([lo, hi] is symmetric under n -> s - n)
-        if lcm_e >= lcm_t:
-            found = [n for n in range(-(-lo // lcm_e) * lcm_e, hi + 1, lcm_e) if (s - n) % lcm_t == 0]
-        else:
-            found = [s - m for m in range(-(-lo // lcm_t) * lcm_t, hi + 1, lcm_t) if (s - m) % lcm_e == 0]
-        if len(found) == 1:
-            return found[0]
-    return None
-
-
-def ap_bsgs(curve: CurveQ, p: int) -> int:
-    """Same value as `ap_naive`, via group-order finding in the Hasse interval.
-
-    Determinism: the point sampler is seeded from (A, B, p), so repeated runs
-    and parallel workers agree bit-for-bit.
-    """
-    _require_good(curve, p)
-    if p <= BSGS_MIN_PRIME:
-        return ap_naive(curve, p)
-    rng = random.Random(f"bsgs:{curve.A}:{curve.B}:{p}")
-    order = _group_order(curve.A % p, curve.B % p, p, rng)
-    if order is None:
-        return ap_naive(curve, p)
-    a_p = p + 1 - order
-    assert a_p * a_p <= 4 * p, f"Hasse violated: a_p={a_p} at p={p}"
-    return a_p
-
-
-# ---------------------------------------------------------------------------
-# The lane kernel: the BSGS search for many primes at once, one int64 numpy
-# lane per prime.  Points are homogeneous projective (X : Y : Z), one int64
-# array per coordinate; Z = 0 is the identity.  Every product is of two
-# residues already reduced mod p.
-
-# Primes below this get a lane: a product of two residues plus a few more
-# residues stays below 2^63 (p < 3.037e9), and a residue fits the 32 bits it
-# has in a match key.  Larger primes take the scalar path.
+# Primes below this get int64 lanes: a product of two residues plus a few
+# more residues stays below 2^63 (p < 3.037e9).  A call with a prime at or
+# above it runs every lane on Python ints (numpy object arrays): exact, and
+# many times slower.
 LANE_MAX_PRIME = 3_030_000_000
 
-# Lanes per kernel call (below 2^21, the room a lane index has in a match
-# key).  The tables hold about 2 sqrt(2) p^(1/4) rows of 8-byte entries per
-# lane, so this bounds the kernel's memory.
+# Lanes per kernel call.  The tables hold about 2 sqrt(2) p^(1/4) rows per
+# lane, so this bounds the kernel's memory; an int64 match key lane | x | row
+# then needs at most 10 + 32 + 10 bits.
 LANE_BATCH = 1024
+
+# Rounds, one sampled point each, before an open lane goes to ap_naive.  Over
+# the five test curves of `verify` (two CM), 98.2% of the 12,835 good primes
+# in (10^5, 1.3*10^5) were settled by the first point and none needed more
+# than 10; in (457, 2*10^4), 94.0% of 10,869 and at most 12.
+MAX_POINTS = 16
 
 Lanes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -311,7 +188,7 @@ def _lane_mul(n: np.ndarray, table: Lanes, a: np.ndarray, p: np.ndarray) -> Lane
     R = None
     top = -(-int(n.max()).bit_length() // w) * w
     for shift in range(top - w, -1, -w):
-        d = (n >> shift) & ((1 << w) - 1)
+        d = ((n >> shift) & ((1 << w) - 1)).astype(np.intp, copy=False)
         row = d - 1  # the last row when d = 0, which Z = 0 then turns into O
         T = (X[row, lane], Y[row, lane], np.where(d == 0, 0, Z[row, lane]))
         if R is None:
@@ -358,7 +235,7 @@ def _lane_tables(P: Lanes, a: np.ndarray, p: np.ndarray, s: int, K: int):
     """(X, Y, inf): tables of shape (s + 2K + 1, lanes).  Row e holds
     (e + 1)P for e < s, row s + i holds Q - (i - K)(2s + 1)P with
     Q = (p + 1)P; X and Y are the affine x and y, and inf marks O."""
-    X, Y, Z = (np.empty((s + 2 * K + 1, len(p)), np.int64) for _ in range(3))
+    X, Y, Z = (np.empty((s + 2 * K + 1, len(p)), p.dtype) for _ in range(3))
     R = P
     for e in range(s):
         if e:
@@ -380,7 +257,9 @@ def _lane_tables(P: Lanes, a: np.ndarray, p: np.ndarray, s: int, K: int):
     return X, Y, inf
 
 
-def _lane_match(X: np.ndarray, Y: np.ndarray, inf: np.ndarray, s: int, K: int, h: np.ndarray):
+def _lane_match(
+    X: np.ndarray, Y: np.ndarray, inf: np.ndarray, s: int, K: int, p: np.ndarray, h: np.ndarray
+):
     """(t, count) per lane from `_lane_tables`: count is the number of t in
     [-h, h] with tP = Q, and t is one of them; count = -1 when P has order
     <= 2s (when s <= h, several t fit then anyway).  Overwrites X.
@@ -393,26 +272,26 @@ def _lane_match(X: np.ndarray, Y: np.ndarray, inf: np.ndarray, s: int, K: int, h
     step = 2 * s + 1
     L = X.shape[1]
     small = inf[:s].any(axis=0) | (Y[:s] == 0).any(axis=0)
-    # match keys lane | x | row; no residue x < p is 2^32 - 1, so identities
-    # match nothing, and rows < 1024 since s + 2K + 1 < 700 for p < LANE_MAX_PRIME
-    X[inf] = 0xFFFFFFFF
-    X <<= 10
+    # match keys lane | x | row, with x in xbits and row in rbits bits; no
+    # residue x < p is 2^xbits - 1, so identities match nothing
+    xbits, rbits = int(p.max()).bit_length(), len(X).bit_length()
+    X[inf] = (1 << xbits) - 1
+    X <<= rbits
     X |= np.arange(len(X))[:, None]
-    X |= np.arange(L, dtype=np.int64) << 42
+    X |= np.arange(L, dtype=X.dtype) << (xbits + rbits)
     keys = X.ravel()
     keys.sort()
-    row = keys.astype(np.int32)  # the low 32 bits
-    row &= 1023
-    keys >>= 10  # (lane << 32) | x
+    row = (keys & ((1 << rbits) - 1)).astype(np.int32)
+    keys >>= rbits  # (lane << xbits) | x
     baby = row < s
     same = keys[1:] == keys[:-1]
-    small[keys[1:][same & baby[1:] & baby[:-1]] >> 32] = True
+    small[(keys[1:][same & baby[1:] & baby[:-1]] >> xbits).astype(np.intp)] = True
     group = np.zeros(len(keys), np.int32)  # equal keys, equal group
     np.cumsum(~same, out=group[1:])
     last = np.where(baby, np.arange(len(keys), dtype=np.int32), 0)
     np.maximum.accumulate(last, out=last)  # the latest baby position
     hit = np.flatnonzero(~baby & baby[last] & (group[last] == group))
-    lane = keys[hit] >> 32
+    lane = (keys[hit] >> xbits).astype(np.intp)
     g, e = row[hit], row[last[hit]]  # giant row; baby row e holds (e + 1)P
     j = np.where(Y[g, lane] == Y[e, lane], e + 1, -e - 1)
     rows, zero_lanes = np.nonzero(inf[s:])
@@ -430,21 +309,23 @@ def _lane_match(X: np.ndarray, Y: np.ndarray, inf: np.ndarray, s: int, K: int, h
 def _lane_round(curve: CurveQ, p: np.ndarray, rnd: int) -> tuple[np.ndarray, np.ndarray]:
     """One sampled point per lane: (t, resolved), with a_p = t on the resolved lanes.
 
-    The point is `_group_order`'s (xf, f^2) on the twist of E by
-    f = x^3 + ax + b, with x a hash of (A mod p, B mod p, p, rnd) alone, so a
-    lane's point does not depend on the batch around it.  With Q = (p+1)P,
+    For f = x^3 + ax + b != 0 the point P = (xf, f^2) lies on
+    y^2 = x^3 + a f^2 x + b f^3, which is E when f is a square and its
+    quadratic twist when it is not (Euler's criterion tells which), so no
+    square root is needed.  x is a hash of (A mod p, B mod p, p, rnd) alone,
+    so a lane's point does not depend on the batch around it.  With Q = (p+1)P,
     a baby table eP (e = 1..s) and giant points Q - k(2s+1)P (|k| <= K),
     every t in [-h, h] with tP = Q is k(2s+1) + j for one (k, j), |j| <= s.
     The lane is resolved when exactly one such t exists; then t is the trace
     of the curve P lies on, which is a_p or, on the twist, -a_p.
     """
     primes = p.tolist()
-    a = np.array([curve.A % q for q in primes], dtype=np.int64)
-    b = np.array([curve.B % q for q in primes], dtype=np.int64)
+    a = np.array([curve.A % q for q in primes], dtype=p.dtype)
+    b = np.array([curve.B % q for q in primes], dtype=p.dtype)
     h = np.array([math.isqrt(4 * q) for q in primes], dtype=np.int64)
     u64 = p.astype(np.uint64)
     z = _splitmix(_splitmix(_splitmix(u64) ^ a.astype(np.uint64)) ^ b.astype(np.uint64))
-    x = (_splitmix(z + np.uint64(rnd)) % u64).astype(np.int64)
+    x = (_splitmix(z + np.uint64(rnd)) % u64).astype(p.dtype)
     f = (x * x % p * x + a * x % p + b) % p
     euler = _lane_pow(f, (p - 1) // 2, p)
     composite = (f != 0) & (euler != 1) & (euler != p - 1)
@@ -457,24 +338,28 @@ def _lane_round(curve: CurveQ, p: np.ndarray, rnd: int) -> tuple[np.ndarray, np.
     s = math.isqrt(hmax) + 1
     K = max(0, -(-(hmax - s) // (2 * s + 1)))
     X, Y, inf = _lane_tables(P, a * ff % p, p, s, K)
-    t, count = _lane_match(X, Y, inf, s, K, h)
+    t, count = _lane_match(X, Y, inf, s, K, p, h)
     return np.where(euler == 1, t, -t), (count == 1) & (f != 0)
 
 
 def ap_lanes(curve: CurveQ, primes: list[int]) -> list[int]:
-    """[a_p for p in primes]: the values of `ap_bsgs`, computed with one int64
+    """[a_p for p in primes], the values of `ap_naive`, computed with one
     numpy lane per prime.
 
     Round r samples one point on every lane still open, up to LANE_BATCH
-    lanes at a time (consecutive primes in round 0).  Primes <= BSGS_MIN_PRIME
-    or >= LANE_MAX_PRIME and lanes still open after MAX_POINTS rounds are
-    computed by `ap_bsgs`; so are bad primes, which it rejects with
+    lanes at a time (consecutive primes in round 0).  The lanes are int64
+    when every prime is below LANE_MAX_PRIME and Python ints otherwise; the
+    sampler hashes each prime as a uint64, so primes must be below 2^64.
+    Primes <= BSGS_MIN_PRIME and lanes still open after MAX_POINTS rounds
+    are computed by `ap_naive`; so are bad primes, which it rejects with
     ValueError.  Lanes do not test primality (that needs trial division per
     prime); their Euler check raises ValueError on most composites.
     """
-    kernel = [BSGS_MIN_PRIME < q < LANE_MAX_PRIME and curve.is_good(q) for q in primes]
-    p = np.fromiter((q for q, k in zip(primes, kernel) if k), dtype=np.int64)
-    traces = np.zeros_like(p)
+    kernel = [BSGS_MIN_PRIME < q and curve.is_good(q) for q in primes]
+    lane_primes = [q for q, k in zip(primes, kernel) if k]
+    dtype = np.int64 if max(lane_primes, default=0) < LANE_MAX_PRIME else object
+    p = np.array(lane_primes, dtype=dtype)
+    traces = np.zeros(len(p), np.int64)
     open_ = np.arange(len(p))
     for rnd in range(MAX_POINTS):
         left = []
@@ -489,7 +374,15 @@ def ap_lanes(curve: CurveQ, primes: list[int]) -> list[int]:
         found[j] = None
     lanes = iter(found)
     out = [next(lanes) if k else None for k in kernel]
-    return [ap_bsgs(curve, q) if t is None else t for q, t in zip(primes, out)]
+    return [ap_naive(curve, q) if t is None else t for q, t in zip(primes, out)]
+
+
+def ap_bsgs(curve: CurveQ, p: int) -> int:
+    """a_p at one good prime p: `ap_lanes` on a single lane, after checking
+    that p is a good prime.  The sampled points depend on (A mod p, B mod p,
+    p) alone, so repeated runs and parallel workers agree bit-for-bit."""
+    _require_good(curve, p)
+    return ap_lanes(curve, [p])[0]
 
 
 def quadratic_twist(curve: CurveQ, d: int) -> CurveQ:

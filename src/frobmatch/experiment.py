@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from frobmatch.arith import log_integral
 from frobmatch.cache import cache_path, read_trace_cache, write_trace_cache
 from frobmatch.config import ExperimentConfig
-# ap_bsgs is the lane kernel's scalar fallback; perfbench's tracer wraps this binding too
+# nothing here calls ap_bsgs; the binding stays for perfbench's tracer, which wraps it
 from frobmatch.elliptic import CurveQ, ap_bsgs, ap_lanes  # noqa: F401
 from frobmatch.frobenius import (
     MatchRecord,
@@ -36,6 +36,7 @@ from frobmatch.sieve import (
     SIEVE_CSV_COLUMNS,
     SieveReport,
     build_prime_window,
+    check_bound_x,
     choose_z_grh,
     choose_z_uncond,
     curve_pair_multiset,
@@ -227,9 +228,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> GrowthSeries:
     """Full pipeline; writes match.csv, growth.csv, sieve.csv, growth.svg,
     and residue.csv when a modulus pair is configured.
 
-    Every sieve window and the modulus pair are checked before any trace is
-    computed, so a config that must fail leaves no artifacts behind.
+    Every checkpoint (the growth series' bound shapes and the sieve window)
+    and the modulus pair are checked before any trace is computed, so a
+    config that must fail leaves no artifacts behind.
     """
+    for x in cfg.x_checkpoints:
+        check_bound_x(x)
     windows = [build_prime_window(checkpoint_z(cfg, x)) for x in cfg.x_checkpoints]
     if cfg.q1 is not None:
         residue_modulus(cfg.q1, cfg.q2)

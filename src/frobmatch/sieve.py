@@ -250,14 +250,19 @@ def main_term_assembly(q1: int, q2: int, x: float) -> float:
     return log_integral(x) * float(coeff) * triple_sum(q1, q2)
 
 
+def check_bound_x(x: float) -> None:
+    """Raise ValueError unless `theorem_bound_curves` accepts x (x >= 100)."""
+    if x < 100:
+        raise ValueError(f"need x >= 100, got {x}")
+
+
 def theorem_bound_curves(x: float, which: str) -> float:
     """Asymptotic bound shapes (unit constant) for plotting:
 
     grh    -> x^(29/30) (log x)^(1/15)
     uncond -> x (log log x)^(22/21) / (log x)^(43/42)
     """
-    if x < 100:
-        raise ValueError(f"need x >= 100, got {x}")
+    check_bound_x(x)
     if which == "grh":
         return x ** (29 / 30) * math.log(x) ** (1 / 15)
     if which == "uncond":

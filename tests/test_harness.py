@@ -1,11 +1,16 @@
 """Cache, experiment orchestration, SVG, verification gates, and the CLI."""
 
+import contextlib
+import io
 import os
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobmatch import cli, experiment, gl2, verify
+from frobmatch.arith import is_prime
 from frobmatch.cache import cache_path, read_trace_cache, write_trace_cache
 from frobmatch.config import parse_config
 from frobmatch.elliptic import CurveQ, ap_naive
@@ -34,6 +39,12 @@ def _config_text(x_max, checkpoints, threads, cache_dir=None):
     if cache_dir:
         lines.append(f"cache_dir = {cache_dir}")
     return "\n".join(lines) + "\n"
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
 
 
 class TestCache:
@@ -215,9 +226,40 @@ class TestBundledDemo:
 
 
 class TestCli:
-    def test_ap(self, capsys):
-        assert cli.main(["ap", "0", "1", "7"]) == 0
-        assert capsys.readouterr().out.strip() == "-4"
+    @pytest.mark.parametrize(
+        "A, B, p, a_p",
+        [
+            ("0", "1", "7", "-4"),
+            # Python-int lanes; cross-checked with a scalar BSGS search (Cohen, Alg. 7.4.12)
+            ("2", "3", "999999999989", "1046250"),
+        ],
+        ids=["small", "python-int-lanes"],
+    )
+    def test_ap(self, A, B, p, a_p, capsys):
+        assert cli.main(["ap", A, B, p]) == 0
+        assert capsys.readouterr().out.strip() == a_p
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        A=st.integers(-30, 30),
+        B=st.integers(-30, 30),
+        p=st.one_of(
+            st.integers(-10, 2500),
+            st.integers(-10, 2000).map(_next_prime),
+            st.integers(2500, 10**7),
+            st.integers(2500, 10**7).map(_next_prime),
+        ),
+    )
+    def test_ap_exits_0_or_2_and_prints_the_trace(self, A, B, p):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["ap", str(A), str(B), str(p)])
+        assert code in (0, 2)
+        if code == 0:
+            t = int(out.getvalue())
+            assert t * t < 4 * p
+            if p < 2000:
+                assert t == ap_naive(CurveQ(A, B), p)
 
     def test_ap_bad_prime_is_config_error(self, capsys):
         assert cli.main(["ap", "0", "1", "3"]) == 2
@@ -234,8 +276,9 @@ class TestCli:
             ("experiment", ("threads", "q1 = 3\nq2 = 3\nthreads")),
             ("experiment", ("threads", "q1 = 11\nq2 = 13\nthreads")),  # table too large
             ("sieve-demo", ("z_policy = fixed:20\n", "")),
+            ("experiment", ("x_checkpoints = 50000", "x_checkpoints = 50, 50000")),
         ],
-        ids=["grh", "equal-moduli", "large-moduli", "sieve-demo-grh"],
+        ids=["grh", "equal-moduli", "large-moduli", "sieve-demo-grh", "checkpoint-below-100"],
     )
     def test_bad_config_fails_before_trace_work(self, tmp_path, monkeypatch, capsys, command, edit):
         def no_traces(*args, **kwargs):
