@@ -76,20 +76,27 @@ def _jacobi_table(n: int) -> np.ndarray:
 
 def triple_sum_direct(q1: int, q2: int) -> int:
     """sum over unit d and all s, t mod q1q2 of ((4d-s^2)(4d-t^2)/q1q2),
-    every symbol evaluated at the actual product mod q1q2."""
+    every symbol evaluated at the actual product mod q1q2.
+
+    With C[d, u] = #{s : 4d - s^2 = u mod n} and M[u, v] = (uv mod n / n)
+    the sum is sum_d C[d] M C[d]^T.  Every entry and partial sum is an
+    integer of size at most n^3 < 2^53, so the float64 matmul is exact.
+    """
     n = q1 * q2
     if n > TRIPLE_DIRECT_LIMIT:
         raise ValueError(f"modulus {n} too large for the direct path")
-    jtab = _jacobi_table(n)
-    usq = (np.arange(n, dtype=np.int64) ** 2) % n
-    total = 0
-    for d in range(1, n):
-        if math.gcd(d, n) != 1:
-            continue
-        vals = ((4 * d - usq) % n).astype(np.int32)
-        prods = (vals[:, None] * vals[None, :]) % n
-        total += int(jtab[prods].sum())
-    return total
+    u = np.arange(n, dtype=np.int64)
+    M = _jacobi_table(n)[np.outer(u, u) % n].astype(np.float64)
+    usq = u * u % n
+    C = np.array(
+        [
+            np.bincount((4 * d - usq) % n, minlength=n)
+            for d in range(1, n)
+            if math.gcd(d, n) == 1
+        ],
+        dtype=np.float64,
+    )
+    return int(((C @ M) * C).sum())
 
 
 def triple_sum_factored(q1: int, q2: int) -> int:

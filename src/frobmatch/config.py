@@ -7,6 +7,7 @@ with their line number), malformed integers, and singular curves.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 
@@ -107,8 +108,8 @@ def parse_config(text: str) -> ExperimentConfig:
             z_fixed = float(policy_raw.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"z_policy: bad fixed value in {policy_raw!r}") from None
-        if z_fixed < 3:
-            raise ConfigError(f"z_policy: fixed z must be >= 3, got {z_fixed}")
+        if not (math.isfinite(z_fixed) and z_fixed >= 3):
+            raise ConfigError(f"z_policy: fixed z must be finite and >= 3, got {z_fixed}")
     else:
         raise ConfigError(f"z_policy must be grh, uncond, or fixed:<z>, got {policy_raw!r}")
 

@@ -12,6 +12,7 @@ alone, independent of worker count and cache state.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +27,6 @@ from frobmatch.frobenius import (
     MatchRecord,
     PairScan,
     chebotarev_empirical,
-    good_primes,
     residue_modulus,
     scan_pair,
     write_match_csv,
@@ -103,32 +103,23 @@ def compute_traces(
     return traces
 
 
-def _cached_traces(cfg: ExperimentConfig, curve: CurveQ, good: list[int]) -> dict[int, int]:
-    """compute_traces through the curve's cache file, if one is configured;
-    the file is rewritten only when traces were added to it."""
+def _cached_traces(cfg: ExperimentConfig, curve: CurveQ, good: list[int]) -> list[int]:
+    """[a_p for p in good] by compute_traces, through the curve's cache file
+    if one is configured; the file is rewritten only when traces were added."""
     if cfg.cache_dir is None:
-        return compute_traces(curve, good, cfg.threads)
-    path = cache_path(cfg.cache_dir, curve)
-    cached = read_trace_cache(path, curve)
-    traces = compute_traces(curve, good, cfg.threads, cached)
-    if len(traces) > len(cached):
-        write_trace_cache(path, curve, traces)
-    return traces
+        traces = compute_traces(curve, good, cfg.threads)
+    else:
+        path = cache_path(cfg.cache_dir, curve)
+        cached = read_trace_cache(path, curve)
+        traces = compute_traces(curve, good, cfg.threads, cached)
+        if len(traces) > len(cached):
+            write_trace_cache(path, curve, traces)
+    return [traces[p] for p in good]
 
 
 def pair_scan(cfg: ExperimentConfig) -> PairScan:
     """The configured pair's PairScan at x_max, traces cached and parallel."""
-    good, _ = good_primes(cfg.x_max, cfg.curve1, cfg.curve2)
-    t1 = _cached_traces(cfg, cfg.curve1, good)
-    t2 = _cached_traces(cfg, cfg.curve2, good)
-    # scan_pair hands back the very curve objects it is given; an identity
-    # test is a third of the cost of hashing a CurveQ per lookup
-    return scan_pair(
-        cfg.curve1,
-        cfg.curve2,
-        cfg.x_max,
-        lambda curve, p: (t1 if curve is cfg.curve1 else t2)[p],
-    )
+    return scan_pair(cfg.curve1, cfg.curve2, cfg.x_max, functools.partial(_cached_traces, cfg))
 
 
 def checkpoint_z(cfg: ExperimentConfig, x: int) -> float:

@@ -26,9 +26,10 @@ from frobmatch.arith import (
     primes_in,
     squarefree_part,
 )
-from frobmatch.elliptic import CurveQ, ap_bsgs
+from frobmatch.elliptic import CurveQ, ap_bsgs, ap_lanes
 
-TraceFn = Callable[[CurveQ, int], int]
+# A batch trace engine: (curve, primes) -> [a_p for p in primes].
+TraceEngine = Callable[[CurveQ, list[int]], list[int]]
 
 MATCH_CSV_COLUMNS = ["p", "a_p", "b_p", "D1", "D2", "matched"]
 
@@ -69,7 +70,9 @@ class PairScan:
 
 
 def good_primes(x: int, *curves: CurveQ) -> tuple[list[int], list[int]]:
-    """Primes p <= x split into (good for every curve, excluded)."""
+    """Primes p <= x split into (good for every curve, excluded); x >= 5."""
+    if x < 5:
+        raise ValueError(f"need x >= 5, got {x}")
     primes = primes_in(0, x)
     bad: set[int] = {2, 3}
     for c in curves:
@@ -107,37 +110,30 @@ def product_is_square_check(p: int, a: int, b: int) -> bool:
     return is_perfect_square(pair_product(p, a, b))
 
 
-def scan_pair(e1: CurveQ, e2: CurveQ, x: int, trace_fn: TraceFn = ap_bsgs) -> PairScan:
-    """One MatchRecord per common good prime p <= x, ascending; the only
-    place a pair's traces are looked up prime by prime."""
-    if x < 5:
-        raise ValueError(f"need x >= 5, got {x}")
+def scan_pair(e1: CurveQ, e2: CurveQ, x: int, engine: TraceEngine = ap_lanes) -> PairScan:
+    """One MatchRecord per common good prime p <= x, ascending; `engine` is
+    called once per curve on those primes."""
     good, skipped = good_primes(x, e1, e2)
-    records = []
-    for p in good:
-        a, b = trace_fn(e1, p), trace_fn(e2, p)
-        records.append(
-            MatchRecord(p, a, b, _field_d(p, a), _field_d(p, b), product_is_square_check(p, a, b))
-        )
-    return PairScan(x, tuple(records), tuple(skipped))
+    records = tuple(
+        MatchRecord(p, a, b, _field_d(p, a), _field_d(p, b), product_is_square_check(p, a, b))
+        for p, a, b in zip(good, engine(e1, good), engine(e2, good))
+    )
+    return PairScan(x, records, tuple(skipped))
 
 
-def count_fixed_trace(e: CurveQ, t: int, x: int, trace_fn: TraceFn = ap_bsgs) -> int:
-    """#{p <= x good : a_p = t}."""
-    if x < 5:
-        raise ValueError(f"need x >= 5, got {x}")
+def count_fixed_trace(e: CurveQ, t: int, x: int, engine: TraceEngine = ap_lanes) -> int:
+    """#{p <= x good : a_p = t}, traces from one `engine` call."""
     good, _ = good_primes(x, e)
-    return sum(1 for p in good if trace_fn(e, p) == t)
+    return engine(e, good).count(t)
 
 
-def count_fixed_field(e: CurveQ, d: int, x: int, trace_fn: TraceFn = ap_bsgs) -> int:
-    """#{p <= x good : squarefree part of 4p - a_p^2 equals d}."""
+def count_fixed_field(e: CurveQ, d: int, x: int, engine: TraceEngine = ap_lanes) -> int:
+    """#{p <= x good : squarefree part of 4p - a_p^2 equals d}, traces from
+    one `engine` call."""
     if d < 1 or squarefree_part(d) != d:
         raise ValueError(f"field selector must be squarefree >= 1, got {d}")
-    if x < 5:
-        raise ValueError(f"need x >= 5, got {x}")
     good, _ = good_primes(x, e)
-    return sum(1 for p in good if _field_d(p, trace_fn(e, p)) == d)
+    return sum(1 for p, a in zip(good, engine(e, good)) if _field_d(p, a) == d)
 
 
 def count_joint_traces(scan: PairScan, t1: int, t2: int) -> int:

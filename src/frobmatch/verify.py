@@ -110,13 +110,13 @@ def verify_charsum(out_dir: str | None = None) -> tuple[bool, str]:
     )
 
 
-def verify_elliptic(p_max_naive: int = 1000, p_max_bsgs: int = 10_000) -> tuple[bool, str]:
-    """ap_naive against point enumeration below p_max_naive; the BSGS engine,
-    the lane kernel ap_lanes, against ap_naive below p_max_bsgs."""
+def verify_elliptic(p_max_naive: int = 1000, p_max_lanes: int = 10_000) -> tuple[bool, str]:
+    """ap_naive against point enumeration below p_max_naive; the trace
+    engine ap_lanes, one batch per curve, against ap_naive below p_max_lanes."""
     mism_enum = mism_lanes = 0
     checked = 0
     for curve in TEST_CURVES:
-        good = [p for p in primes_in(3, p_max_bsgs) if curve.is_good(p)]
+        good = [p for p in primes_in(3, p_max_lanes) if curve.is_good(p)]
         checked += len(good)
         for p, lane in zip(good, ap_lanes(curve, good)):
             a = ap_naive(curve, p)

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from frobmatch.arith import primes_in
+from frobmatch.arith import jacobi_symbol, primes_in
 from frobmatch.charsum import (
     char_sum_table,
     charsum_verification_rows,
@@ -64,8 +66,6 @@ class TestJacobiSum:
         assert jacobi_sum(97) == -1
 
     def test_lemma_up_to_97(self):
-        from frobmatch.arith import jacobi_symbol
-
         for q in ODD_PRIMES_97:
             assert jacobi_sum(q) == -jacobi_symbol(-1, q)
 
@@ -85,6 +85,18 @@ class TestTripleSum:
         pairs = [(3, 5), (3, 7), (5, 7), (3, 11), (3, 13), (5, 11), (7, 11), (5, 13)]
         for q1, q2 in pairs:
             assert triple_sum_direct(q1, q2) == triple_sum_factored(q1, q2)
+
+    @pytest.mark.parametrize("q1, q2", [(3, 5), (3, 7)])
+    def test_direct_equals_literal_loop(self, q1, q2):
+        n = q1 * q2
+        literal = sum(
+            jacobi_symbol((4 * d - s * s) * (4 * d - t * t), n)
+            for d in range(1, n)
+            if math.gcd(d, n) == 1
+            for s in range(n)
+            for t in range(n)
+        )
+        assert triple_sum_direct(q1, q2) == literal
 
     def test_bound_attained(self):
         for q1, q2 in ((3, 5), (3, 7), (5, 7), (7, 11)):

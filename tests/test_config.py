@@ -1,8 +1,11 @@
+import math
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from frobmatch.config import ConfigError, parse_config
+from frobmatch.config import ConfigError, ExperimentConfig, parse_config
 
 MINIMAL = """\
 [curve1]
@@ -86,6 +89,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="z_policy"):
             parse_config(MINIMAL + "z_policy = fixed:2\n")
 
+    @pytest.mark.parametrize("z", ["nan", "inf"])
+    def test_non_finite_fixed_z(self, z):
+        with pytest.raises(ConfigError, match="z_policy"):
+            parse_config(MINIMAL + f"z_policy = fixed:{z}\n")
+
     def test_q1_requires_q2(self):
         with pytest.raises(ConfigError, match="together"):
             parse_config(MINIMAL + "q1 = 3\n")
@@ -93,3 +101,42 @@ class TestParseConfig:
     def test_threads_positive(self):
         with pytest.raises(ConfigError, match="threads"):
             parse_config(MINIMAL + "threads = 0\n")
+
+
+def _config_or_config_error(text: str) -> None:
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    assert cfg.z_fixed is None or (math.isfinite(cfg.z_fixed) and cfg.z_fixed >= 3)
+
+
+_KEYS = ["a", "b", "x_max", "x_checkpoints", "z_policy", "q1", "q2", "cache_dir", "threads"]
+_LINES = st.one_of(
+    st.sampled_from(["[curve1]", "[curve2]", "[experiment]", "[plotting]"]),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(_KEYS),
+        st.one_of(st.integers().map(str), st.text(max_size=12)),
+    ),
+    st.text(max_size=20),
+)
+
+
+class TestParseConfigProperties:
+    """Any text gives an ExperimentConfig or a ConfigError, never another
+    exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.lists(_LINES, max_size=14).map("\n".join)))
+    def test_any_text(self, text):
+        _config_or_config_error(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats().map(repr), st.text(max_size=16)))
+    @example("nan")
+    @example("-inf")
+    @example("1e400")
+    def test_any_fixed_z(self, z):
+        _config_or_config_error(MINIMAL + f"z_policy = fixed:{z}\n")

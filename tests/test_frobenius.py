@@ -18,6 +18,7 @@ from frobmatch.frobenius import (
     scan_pair,
     write_match_csv,
 )
+from conftest import naive_traces
 
 E1 = CurveQ(2, 3)
 E2 = CurveQ(5, 7)
@@ -70,12 +71,12 @@ class TestScanPair:
             assert r.matched == product_is_square_check(r.p, r.a_p, r.b_p) == (r.D1 == r.D2)
 
     def test_excluded_side_channel(self):
-        scan = scan_pair(E1, E2, 100, trace_fn=ap_naive)
+        scan = scan_pair(E1, E2, 100, naive_traces)
         assert set(scan.excluded) == {p for p in primes_in(0, 100) if p in E1.bad_primes | E2.bad_primes}
         assert len(scan.records) + len(scan.excluded) == len(primes_in(0, 100))
 
     def test_identical_curves_always_match(self):
-        scan = scan_pair(E1, E1, 300, trace_fn=ap_naive)
+        scan = scan_pair(E1, E1, 300, naive_traces)
         count = scan.match_count
         assert count == len(scan.records)
         good, _ = good_primes(300, E1)
@@ -84,7 +85,7 @@ class TestScanPair:
     def test_twist_pair_matches_everywhere(self):
         # a twist changes traces only by sign, so 4p - a_p^2 is unchanged
         tw = quadratic_twist(E1, 2)
-        scan = scan_pair(E1, tw, 1000, trace_fn=ap_naive)
+        scan = scan_pair(E1, tw, 1000, naive_traces)
         assert scan.records and all(r.matched for r in scan.records)
 
     def test_minus_one_twist_invariance(self):
@@ -92,15 +93,15 @@ class TestScanPair:
         # are counted, and traces change at most in sign
         tw = quadratic_twist(E1, -1)
         assert tw.bad_primes == E1.bad_primes
-        c1 = scan_pair(E1, E2, 2000, trace_fn=ap_naive).match_count
-        c2 = scan_pair(tw, E2, 2000, trace_fn=ap_naive).match_count
+        c1 = scan_pair(E1, E2, 2000, naive_traces).match_count
+        c2 = scan_pair(tw, E2, 2000, naive_traces).match_count
         assert c1 == c2
 
     def test_independent_recount(self):
         # recount with ap_naive and the square-stripping oracle, sharing no
         # code with the scan
         x = 2000
-        count = scan_pair(E1, E2, x, trace_fn=ap_naive).match_count
+        count = scan_pair(E1, E2, x, naive_traces).match_count
         recount = 0
         for p in primes_in(0, x):
             if p in E1.bad_primes or p in E2.bad_primes:
@@ -112,7 +113,7 @@ class TestScanPair:
         assert count == recount
 
     def test_monotone_in_x(self):
-        counts = [scan_pair(E1, E2, x, trace_fn=ap_naive).match_count for x in (500, 1000, 2000)]
+        counts = [scan_pair(E1, E2, x, naive_traces).match_count for x in (500, 1000, 2000)]
         assert counts == sorted(counts)
 
     def test_rejects_tiny_x(self):
@@ -122,35 +123,35 @@ class TestScanPair:
 
 class TestCounters:
     def test_fixed_trace_hasse_empty(self):
-        assert count_fixed_trace(E1, 300, 2000, trace_fn=ap_naive) == 0  # 300^2 > 8000
+        assert count_fixed_trace(E1, 300, 2000, naive_traces) == 0  # 300^2 > 8000
 
     def test_fixed_trace_supersingular_count(self):
         # y^2 = x^3 + 1 has CM by Q(sqrt(-3)): supersingular exactly at
         # p = 2 mod 3; enumerated independently
-        assert count_fixed_trace(CurveQ(0, 1), 0, 100, trace_fn=ap_naive) == 12
+        assert count_fixed_trace(CurveQ(0, 1), 0, 100, naive_traces) == 12
 
     def test_fixed_trace_recount(self):
         x = 1500
         good, _ = good_primes(x, E1)
         expected = sum(1 for p in good if ap_naive(E1, p) == 1)
-        assert count_fixed_trace(E1, 1, x, trace_fn=ap_naive) == expected
+        assert count_fixed_trace(E1, 1, x, naive_traces) == expected
 
     def test_fixed_field_partition(self):
         x = 1000
         good, _ = good_primes(x, E1)
         tags = {frobenius_field(E1, p, ap_naive(E1, p)).D for p in good}
-        total = sum(count_fixed_field(E1, d, x, trace_fn=ap_naive) for d in tags)
+        total = sum(count_fixed_field(E1, d, x, naive_traces) for d in tags)
         assert total == len(good)
 
     def test_fixed_field_includes_p7(self):
-        assert count_fixed_field(CurveQ(0, 1), 3, 100, trace_fn=ap_naive) >= 1
+        assert count_fixed_field(CurveQ(0, 1), 3, 100, naive_traces) >= 1
 
     def test_fixed_field_rejects_non_squarefree(self):
         with pytest.raises(ValueError):
             count_fixed_field(E1, 12, 100)
 
     def test_joint_traces(self):
-        scan = scan_pair(E1, E2, 2000, trace_fn=ap_naive)
+        scan = scan_pair(E1, E2, 2000, naive_traces)
         assert count_joint_traces(scan, 300, 0) == 0
         joint = count_joint_traces(scan, 0, 0)
         assert joint <= scan.match_count
@@ -159,18 +160,18 @@ class TestCounters:
         x = 1500
         good, _ = good_primes(x, E1, E2)
         expected = sum(1 for p in good if ap_naive(E1, p) == 0 and ap_naive(E2, p) == 0)
-        assert count_joint_traces(scan_pair(E1, E2, x, trace_fn=ap_naive), 0, 0) == expected
+        assert count_joint_traces(scan_pair(E1, E2, x, naive_traces), 0, 0) == expected
 
 
 @pytest.fixture(scope="module")
 def table() -> CheboTable:
-    return chebotarev_empirical(scan_pair(E1, E2, 3000, trace_fn=ap_naive), 3, 5)
+    return chebotarev_empirical(scan_pair(E1, E2, 3000, naive_traces), 3, 5)
 
 
 class TestChebotarev:
 
     def test_rejects_bad_moduli(self):
-        scan = scan_pair(E1, E2, 100, trace_fn=ap_naive)
+        scan = scan_pair(E1, E2, 100, naive_traces)
         with pytest.raises(ValueError):
             chebotarev_empirical(scan, 3, 3)
         with pytest.raises(ValueError):
@@ -203,7 +204,7 @@ class TestChebotarev:
 
 class TestMatchCsv:
     def test_golden_and_deterministic(self, tmp_path):
-        scan = scan_pair(E1, E2, 200, trace_fn=ap_naive)
+        scan = scan_pair(E1, E2, 200, naive_traces)
         path1, path2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_match_csv(scan.records, path1)
         write_match_csv(scan.records, path2)

@@ -17,6 +17,7 @@ from frobmatch.elliptic import CurveQ, ap_naive
 from frobmatch.experiment import compute_traces, growth_series, run_experiment
 from frobmatch.frobenius import good_primes, scan_pair
 from frobmatch.svgplot import render_loglog_svg
+from conftest import naive_traces
 
 E1 = CurveQ(2, 3)
 E2 = CurveQ(5, 7)
@@ -111,10 +112,10 @@ class TestComputeTraces:
 
 class TestGrowthSeries:
     def test_prefix_property(self):
-        scan = scan_pair(E1, E2, 3000, trace_fn=ap_naive)
+        scan = scan_pair(E1, E2, 3000, naive_traces)
         series = growth_series(scan.records, (1000, 2000, 3000))
         for row in series.rows:
-            sub = scan_pair(E1, E2, row.x, trace_fn=ap_naive)
+            sub = scan_pair(E1, E2, row.x, naive_traces)
             assert row.pi_good == len(sub.records)
             assert row.s_equal_fields == sub.match_count
         counts = [r.s_equal_fields for r in series.rows]
@@ -191,7 +192,7 @@ class TestVerificationGates:
         assert (tmp_path / "gl2_verification.csv").exists()
         ok, _ = verify.verify_charsum(str(tmp_path))
         assert ok
-        ok, _ = verify.verify_elliptic(p_max_naive=300, p_max_bsgs=1000)
+        ok, _ = verify.verify_elliptic(p_max_naive=300, p_max_lanes=1000)
         assert ok
 
     def test_injected_fault_detected(self, monkeypatch):

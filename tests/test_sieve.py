@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobmatch.arith import jacobi_symbol, log_integral
-from frobmatch.elliptic import CurveQ, ap_naive
+from frobmatch.elliptic import CurveQ
 from frobmatch.frobenius import good_primes, scan_pair
 from frobmatch.sieve import (
     Multiset,
@@ -23,6 +23,7 @@ from frobmatch.sieve import (
     theorem_bound_curves,
     uncond_growth_condition,
 )
+from conftest import naive_traces
 
 E1 = CurveQ(2, 3)
 E2 = CurveQ(5, 7)
@@ -61,7 +62,7 @@ class TestMultiset:
             assert elem <= 16 * x * x
 
     def test_identical_curves_all_squares(self):
-        a = curve_pair_multiset(scan_pair(E1, E1, 500, trace_fn=ap_naive), 500)
+        a = curve_pair_multiset(scan_pair(E1, E1, 500, naive_traces), 500)
         assert square_count_exact(a) == len(a)
 
 
@@ -146,22 +147,22 @@ class TestSieveV2:
 class TestPrimeCharSum:
     def test_triangle_inequality(self):
         good, _ = good_primes(2000, E1, E2)
-        val = prime_char_sum(scan_pair(E1, E2, 2000, trace_fn=ap_naive), 3, 5)
+        val = prime_char_sum(scan_pair(E1, E2, 2000, naive_traces), 3, 5)
         assert abs(val) <= len(good)
 
     def test_identical_curves_nonnegative(self):
-        val = prime_char_sum(scan_pair(E1, E1, 1000, trace_fn=ap_naive), 3, 5)
+        val = prime_char_sum(scan_pair(E1, E1, 1000, naive_traces), 3, 5)
         assert val >= 0
 
     def test_cross_path_agreement(self):
-        scan = scan_pair(E1, E2, 2000, trace_fn=ap_naive)
+        scan = scan_pair(E1, E2, 2000, naive_traces)
         direct = prime_char_sum(scan, 3, 5)
         classes = prime_char_sum_by_classes(scan, 3, 5)
         assert direct == classes
 
     def test_rejects_bad_pair(self):
         with pytest.raises(ValueError):
-            prime_char_sum(scan_pair(E1, E2, 100, trace_fn=ap_naive), 3, 3)
+            prime_char_sum(scan_pair(E1, E2, 100, naive_traces), 3, 3)
 
 
 class TestParameterChoices:
