@@ -1,7 +1,8 @@
 """Experiment configuration files: INI-style sections of key=value lines.
 
 Unknown sections or keys are hard errors, as are duplicate keys (reported
-with their line number), malformed integers, and singular curves.
+with their line number), malformed integers, singular curves, and a fixed
+sieve window z outside [3, Z_FIXED_MAX].
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ from frobmatch.elliptic import CurveQ
 
 class ConfigError(Exception):
     pass
+
+
+# Largest fixed sieve window z: the window (z/2, z] then has P = 560 primes,
+# which bounds the sieve's P x P Gram matrix and its P-row Legendre blocks.
+Z_FIXED_MAX = 10**4
 
 
 _KNOWN_KEYS = {
@@ -108,8 +114,10 @@ def parse_config(text: str) -> ExperimentConfig:
             z_fixed = float(policy_raw.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"z_policy: bad fixed value in {policy_raw!r}") from None
-        if not (math.isfinite(z_fixed) and z_fixed >= 3):
-            raise ConfigError(f"z_policy: fixed z must be finite and >= 3, got {z_fixed}")
+        if not (math.isfinite(z_fixed) and 3 <= z_fixed <= Z_FIXED_MAX):
+            raise ConfigError(
+                f"z_policy: fixed z must be finite, >= 3 and <= {Z_FIXED_MAX}, got {z_fixed}"
+            )
     else:
         raise ConfigError(f"z_policy must be grh, uncond, or fixed:<z>, got {policy_raw!r}")
 

@@ -124,7 +124,7 @@ def pair_scan(cfg: ExperimentConfig) -> PairScan:
 
 def checkpoint_z(cfg: ExperimentConfig, x: int) -> float:
     if cfg.z_policy == "fixed":
-        return float(cfg.z_fixed)  # validated >= 3 at parse time
+        return float(cfg.z_fixed)  # validated in [3, Z_FIXED_MAX] at parse time
     z = choose_z_grh(x) if cfg.z_policy == "grh" else choose_z_uncond(x)
     if z < 3:
         raise ValueError(

@@ -5,12 +5,20 @@ Version 1 of the sieve is an order-of-magnitude estimate (its hidden constant
 is not computable), so its report is descriptive.  Version 2 is a genuine
 inequality with explicit constants: exact_square_count <= bound_total is
 asserted on every evaluation.
+
+Both shapes read their terms from one Legendre matrix L[i, k] = (alpha_k/q_i)
+over the window primes q_i: the pair sums sum_alpha (alpha/q_i q_j) are the
+entries of L L^T above its diagonal, and omega(alpha_k) is the number of
+zeros in column k.  `_char_sums_over_pairs`, a jacobi_symbol call per pair
+and element, is the brute-force twin of the pair sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from frobmatch.arith import (
     check_odd_prime_pair,
@@ -39,7 +47,8 @@ SIEVE_CSV_COLUMNS = [
 
 @dataclass(frozen=True)
 class SievePrimeSet:
-    """The auxiliary window: all primes q with z/2 < q <= z."""
+    """The auxiliary window: all odd primes q with z/2 < q <= z (odd, so each
+    pair product q1q2 is an odd modulus; 3 <= z < 4 gives the window {3})."""
 
     z: float
     primes: tuple[int, ...]
@@ -92,7 +101,7 @@ class SieveReport:
 def build_prime_window(z: float) -> SievePrimeSet:
     if z < 3:
         raise ValueError(f"window (z/2, z] is empty for z={z}; need z >= 3")
-    qs = primes_in(int(z // 2), int(z))
+    qs = primes_in(max(int(z // 2), 2), int(z))  # odd primes only
     qs = [q for q in qs if z / 2 < q <= z]
     return SievePrimeSet(z, tuple(qs))
 
@@ -120,6 +129,39 @@ def _char_sums_over_pairs(a: Multiset, window: SievePrimeSet) -> list[int]:
     return out
 
 
+# Columns of L per Gram block.  The Gram product runs in float32 (BLAS), whose
+# integer sums are exact below 2^24 in magnitude; an entry of one block's
+# product is a sum of at most _GRAM_BLOCK terms in {-1, 0, 1}, and the blocks
+# are summed in int64.  The block also bounds the matrix to P * _GRAM_BLOCK.
+_GRAM_BLOCK = 1 << 13
+assert _GRAM_BLOCK < 1 << 24
+
+
+def _legendre_terms(a: Multiset, window: SievePrimeSet) -> tuple[list[int], np.ndarray]:
+    """(pair sums, omega): sum_alpha (alpha/q1q2) over unordered window pairs,
+    in the order of `_char_sums_over_pairs`, and omega(alpha) per element,
+    both from the Legendre matrix L[i, k] = (alpha_k/q_i)."""
+    qs = window.primes
+    # int64 elements while they fit, Python ints (an object array) above
+    dtype = np.int64 if max(a.elements, default=0) < 1 << 63 else object
+    alphas = np.array(a.elements, dtype=dtype)
+    tables = []  # chi[r] = (r/q) for r in [0, q)
+    for q in qs:
+        chi = np.full(q, -1, np.int8)
+        chi[np.arange(1, q) ** 2 % q] = 1
+        chi[0] = 0
+        tables.append(chi)
+    gram = np.zeros((len(qs), len(qs)), np.int64)
+    omega = np.zeros(len(alphas), np.int64)
+    for lo in range(0, len(alphas), _GRAM_BLOCK):
+        block = alphas[lo : lo + _GRAM_BLOCK]
+        L = np.stack([chi[(block % q).astype(np.intp)] for q, chi in zip(qs, tables)])
+        Lf = L.astype(np.float32)
+        gram += (Lf @ Lf.T).astype(np.int64)
+        omega[lo : lo + len(block)] = np.count_nonzero(L == 0, axis=0)
+    return gram[np.triu_indices(len(qs), 1)].tolist(), omega
+
+
 def sieve_bound_v1(a: Multiset, window: SievePrimeSet) -> SieveReport:
     """First sieve shape: #A/P plus the normalized double character sum.
 
@@ -136,7 +178,8 @@ def sieve_bound_v1(a: Multiset, window: SievePrimeSet) -> SieveReport:
     size = len(a)
     term_main = size / p_count
     # both orderings of each pair contribute the same |inner sum|
-    term_char = 2.0 * sum(abs(s) for s in _char_sums_over_pairs(a, window)) / p_count**2
+    sums, _ = _legendre_terms(a, window)
+    term_char = 2.0 * sum(abs(s) for s in sums) / p_count**2
     return SieveReport(
         version=1,
         z=window.z,
@@ -165,11 +208,10 @@ def sieve_bound_v2(a: Multiset, window: SievePrimeSet) -> SieveReport:
         raise ValueError("empty prime window")
     size = len(a)
     term_main = size / p_count
-    sums = _char_sums_over_pairs(a, window)
+    sums, omega = _legendre_terms(a, window)
     term_char = float(max((abs(s) for s in sums), default=0))
-    omega = [sum(1 for q in window.primes if e % q == 0) for e in a.elements]
-    term_linear = 2.0 * sum(omega) / p_count
-    term_quadratic = sum(w * w for w in omega) / p_count**2
+    term_linear = 2.0 * int(omega.sum()) / p_count
+    term_quadratic = int((omega * omega).sum()) / p_count**2
     total = term_main + term_char + term_linear + term_quadratic
     exact = square_count_exact(a)
     if exact > total:

@@ -6,8 +6,9 @@ Suites
   charsum   complete sums, Jacobi sums, triple-sum path agreement
   elliptic  trace formula vs point enumeration, the lane kernel (the one
             trace engine) vs exact sum
-  sieve     square detection, version-2 inequality, window density,
-            character-sum path agreement
+  sieve     square detection, version-2 inequality, Legendre-matrix terms
+            vs the jacobi_symbol pair loop, window density, character-sum
+            path agreement
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from frobmatch.gl2 import (
 )
 from frobmatch.sieve import (
     Multiset,
+    _char_sums_over_pairs,
+    _legendre_terms,
     build_prime_window,
     prime_char_sum,
     prime_char_sum_by_classes,
@@ -133,11 +136,18 @@ def verify_elliptic(p_max_naive: int = 1000, p_max_lanes: int = 10_000) -> tuple
 def verify_sieve() -> tuple[bool, str]:
     rng = random.Random(0xC0FFEE)
     window = build_prime_window(50)
-    v2_ok = True
+    v2_ok = matrix_ok = True
     for _ in range(25):
         a = Multiset(tuple(rng.randrange(1, 10**9 + 1) for _ in range(1000)))
         rep = sieve_bound_v2(a, window)  # raises if the inequality fails
         v2_ok = v2_ok and rep.exact_square_count <= rep.bound_total
+        sums, omega = _legendre_terms(a, window)
+        by_division = [sum(e % q == 0 for q in window.primes) for e in a.elements]
+        matrix_ok = (
+            matrix_ok
+            and sums == _char_sums_over_pairs(a, window)
+            and omega.tolist() == by_division
+        )
 
     sample = [rng.randrange(1, 10**6 + 1) for _ in range(1000)]
     by_op = square_count_exact(Multiset(tuple(sample)))
@@ -155,9 +165,11 @@ def verify_sieve() -> tuple[bool, str]:
     classes = prime_char_sum_by_classes(scan, 3, 5)
     paths_ok = direct == classes
 
-    ok = v2_ok and squares_ok and density_ok and paths_ok
+    ok = v2_ok and matrix_ok and squares_ok and density_ok and paths_ok
     return ok, (
-        f"sieve: v2 inequality: {v2_ok}; square-count oracle: {squares_ok}; "
+        f"sieve: v2 inequality: {v2_ok}; "
+        f"Legendre-matrix terms == jacobi_symbol pair loop and omega by division: "
+        f"{matrix_ok}; square-count oracle: {squares_ok}; "
         f"window density within 25%: {density_ok}; "
         f"char-sum paths agree ({direct}): {paths_ok}"
     )

@@ -94,6 +94,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="z_policy"):
             parse_config(MINIMAL + f"z_policy = fixed:{z}\n")
 
+    def test_fixed_z_cap(self):
+        assert parse_config(MINIMAL + "z_policy = fixed:1e4\n").z_fixed == 10**4
+        for z in ("10000.5", "1e15"):
+            with pytest.raises(ConfigError, match="z_policy"):
+                parse_config(MINIMAL + f"z_policy = fixed:{z}\n")
+
     def test_q1_requires_q2(self):
         with pytest.raises(ConfigError, match="together"):
             parse_config(MINIMAL + "q1 = 3\n")
@@ -109,7 +115,7 @@ def _config_or_config_error(text: str) -> None:
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)
-    assert cfg.z_fixed is None or (math.isfinite(cfg.z_fixed) and cfg.z_fixed >= 3)
+    assert cfg.z_fixed is None or (math.isfinite(cfg.z_fixed) and 3 <= cfg.z_fixed <= 10**4)
 
 
 _KEYS = ["a", "b", "x_max", "x_checkpoints", "z_policy", "q1", "q2", "cache_dir", "threads"]
@@ -138,5 +144,6 @@ class TestParseConfigProperties:
     @example("nan")
     @example("-inf")
     @example("1e400")
+    @example("1e15")
     def test_any_fixed_z(self, z):
         _config_or_config_error(MINIMAL + f"z_policy = fixed:{z}\n")

@@ -3,12 +3,15 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frobmatch
 from frobmatch import cli, experiment, gl2, verify
 from frobmatch.arith import is_prime
 from frobmatch.cache import cache_path, read_trace_cache, write_trace_cache
@@ -290,6 +293,30 @@ class TestCli:
         cfg.write_text(_config_text(50_000, "50000", 1).replace(*edit))
         out = tmp_path / "o"
         assert cli.main(["--out", str(out), command, str(cfg)]) == 2
+        assert list(out.iterdir()) == []
+
+    def test_window_of_three_runs(self, tmp_path, capsys):
+        # z in [3, 4): the window is {3} (2 is not a window prime)
+        cfg = tmp_path / "z35.cfg"
+        cfg.write_text(_config_text(1000, "1000", 1).replace("fixed:20", "fixed:3.5"))
+        assert cli.main(["--out", str(tmp_path / "o"), "experiment", str(cfg)]) == 0
+        assert (tmp_path / "o" / "sieve.csv").read_text().splitlines()[1].startswith("2,3.5,1,")
+
+    def test_huge_fixed_z_fails_fast(self, tmp_path):
+        # in a child process, so a window sieved up to 10^15 fails the test
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(_config_text(1000, "1000", 1).replace("fixed:20", "fixed:1e15"))
+        out = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(frobmatch.__file__)))
+        child = subprocess.run(
+            [sys.executable, "-m", "frobmatch.cli", "--out", str(out), "experiment", str(cfg)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=env,
+        )
+        assert child.returncode == 2
+        assert "z_policy" in child.stderr
         assert list(out.iterdir()) == []
 
     def test_arithmetic_error_is_verification_failure(self, tmp_path, monkeypatch, capsys):

@@ -9,7 +9,9 @@ from frobmatch.arith import jacobi_symbol, log_integral
 from frobmatch.elliptic import CurveQ
 from frobmatch.frobenius import good_primes, scan_pair
 from frobmatch.sieve import (
+    _GRAM_BLOCK,
     Multiset,
+    SievePrimeSet,
     build_prime_window,
     choose_z_grh,
     choose_z_uncond,
@@ -38,6 +40,11 @@ class TestPrimeWindow:
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             build_prime_window(2.5)
+
+    @pytest.mark.parametrize("z", [3, 3.5, 3.99])
+    def test_odd_primes_only(self, z):
+        # (z/2, z] holds 2 for z < 4; the window drops it
+        assert build_prime_window(z).primes == (3,)
 
     def test_density_matches_pnt(self):
         for z in (10**3, 10**4, 10**5):
@@ -142,6 +149,130 @@ class TestSieveV2:
         a = curve_pair_multiset(demo_traces_1e4, 10_000)
         rep = sieve_bound_v2(a, build_prime_window(30))
         assert rep.exact_square_count <= rep.bound_total
+
+
+class TestWindowOfThree:
+    """z in [3, 4): the window {3}, P = 1, no pairs, so term_char is 0."""
+
+    def test_v1(self):
+        rep = sieve_bound_v1(Multiset((1, 2, 2)), build_prime_window(3.5))  # e^1 > 2
+        assert (rep.P, rep.term_main, rep.term_char, rep.bound_total) == (1, 3.0, 0.0, 3.0)
+
+    def test_v2(self):
+        rep = sieve_bound_v2(Multiset((1, 2, 3, 9, 12)), build_prime_window(3.5))
+        assert rep.P == 1 and rep.exact_square_count == 2
+        assert (rep.term_char, rep.term_linear, rep.term_quadratic) == (0.0, 6.0, 3.0)
+        assert rep.bound_total == 5.0 + 0.0 + 6.0 + 3.0
+
+
+def _literal_terms(a: Multiset, w: SievePrimeSet) -> tuple[float, dict]:
+    """(v1 term_char, v2 report fields) from a literal jacobi_symbol loop over
+    unordered window pairs and omega counted by divisibility, with the float
+    expressions of sieve_bound_v1/v2."""
+    qs, p_count = w.primes, w.P
+    sums = [
+        sum(jacobi_symbol(e, q1 * q2) for e in a.elements)
+        for i, q1 in enumerate(qs)
+        for q2 in qs[i + 1 :]
+    ]
+    omega = [sum(1 for q in qs if e % q == 0) for e in a.elements]
+    v1_char = 2.0 * sum(abs(s) for s in sums) / p_count**2
+    v2 = {
+        "exact_square_count": sum(1 for e in a.elements if math.isqrt(e) ** 2 == e),
+        "term_char": float(max((abs(s) for s in sums), default=0)),
+        "term_linear": 2.0 * sum(omega) / p_count,
+        "term_quadratic": sum(k * k for k in omega) / p_count**2,
+    }
+    v2["bound_total"] = (
+        len(a) / p_count + v2["term_char"] + v2["term_linear"] + v2["term_quadratic"]
+    )
+    return v1_char, v2
+
+
+def _v2_fields(rep) -> dict:
+    return {
+        k: getattr(rep, k)
+        for k in ("exact_square_count", "term_char", "term_linear", "term_quadratic", "bound_total")
+    }
+
+
+def _mixed_multiset(w: SievePrimeSet, cap: int, seed: int, n: int = 96) -> Multiset:
+    """Elements in [1, cap], in turn: multiples of a window prime, perfect
+    squares, squares of multiples of a window prime, uniform draws; then cap."""
+    rng = random.Random(seed)
+    root = math.isqrt(cap)
+    elems = []
+    for k in range(n):
+        q = rng.choice(w.primes)
+        kind = k % 4
+        if kind == 0 and q <= cap:
+            elems.append(q * rng.randrange(1, cap // q + 1))
+        elif kind == 1:
+            elems.append(rng.randrange(1, root + 1) ** 2)
+        elif kind == 2 and q <= root:
+            elems.append((q * rng.randrange(1, root // q + 1)) ** 2)
+        else:
+            elems.append(rng.randrange(1, cap + 1))
+    return Multiset(tuple(elems) + (cap,))
+
+
+class TestLegendreMatrixExact:
+    """Every term from the Legendre matrix equals the literal jacobi_symbol
+    pair loop exactly (==, no tolerance)."""
+
+    @pytest.mark.parametrize("z", [12, 30, 100, 300])
+    @pytest.mark.parametrize(
+        "cap", [2**63 - 1, 2**63, 2**80], ids=["int64", "object-edge", "object"]
+    )
+    def test_v2_terms(self, z, cap):
+        w = build_prime_window(z)
+        a = _mixed_multiset(w, cap, seed=z)
+        assert (max(a.elements) >= 2**63) == (cap > 2**63 - 1)
+        _, expected = _literal_terms(a, w)
+        assert _v2_fields(sieve_bound_v2(a, w)) == expected
+
+    @pytest.mark.parametrize("z", [12, 30, 100, 300, 600])
+    def test_v1_term_char(self, z):
+        # v1 needs max(A) <= e^P; at z = 600 (P = 47) that admits elements
+        # above 2^63, the object path
+        w = build_prime_window(z)
+        a = _mixed_multiset(w, math.floor(math.exp(w.P)), seed=z)
+        assert (max(a.elements) >= 2**63) == (z == 600)
+        v1_char, _ = _literal_terms(a, w)
+        rep = sieve_bound_v1(a, w)
+        assert rep.term_char == v1_char
+        assert rep.bound_total == len(a) / w.P + v1_char
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(1, 10**6),
+                st.integers(1, 2**70),
+                st.integers(1, 2**35).map(lambda k: k * k),
+            ),
+            max_size=25,
+        ),
+        st.sampled_from([3.5, 12, 30, 100]),
+    )
+    def test_property(self, elems, z):
+        a, w = Multiset(tuple(elems)), build_prime_window(z)
+        v1_char, expected = _literal_terms(a, w)
+        assert _v2_fields(sieve_bound_v2(a, w)) == expected
+        if not elems or max(elems) <= math.exp(w.P):
+            assert sieve_bound_v1(a, w).term_char == v1_char
+
+    def test_spans_gram_blocks(self):
+        w = build_prime_window(30)
+        a = _mixed_multiset(w, 10**12, seed=5, n=2 * _GRAM_BLOCK + 7)
+        _, expected = _literal_terms(a, w)
+        assert _v2_fields(sieve_bound_v2(a, w)) == expected
+
+    def test_demo_multiset_z100(self, demo_traces_1e4):
+        a = curve_pair_multiset(demo_traces_1e4, 10_000)
+        w = build_prime_window(100)
+        _, expected = _literal_terms(a, w)
+        assert _v2_fields(sieve_bound_v2(a, w)) == expected
 
 
 class TestPrimeCharSum:
