@@ -20,7 +20,6 @@ from frobmatch.charsum import jacobi_sum, triple_sum, weil_sum_bruteforce, weil_
 from frobmatch.elliptic import CurveQ, TraceRecord, ap_bsgs, ap_lanes, ap_naive, count_points
 from frobmatch.frobenius import (
     FrobeniusFieldTag,
-    MatchRecord,
     PairScan,
     chebotarev_empirical,
     count_fixed_field,
@@ -58,7 +57,6 @@ __all__ = [
     "CurveQ",
     "TraceRecord",
     "FrobeniusFieldTag",
-    "MatchRecord",
     "Multiset",
     "PairScan",
     "SievePrimeSet",

@@ -95,9 +95,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "match-count":
             cfg = _load(args)
             scan = pair_scan(cfg)
-            write_match_csv(scan.records, os.path.join(args.out, "match.csv"))
+            write_match_csv(scan, os.path.join(args.out, "match.csv"))
             print(
-                f"matched fields: {scan.match_count} of {len(scan.records)} good primes "
+                f"matched fields: {scan.match_count} of {len(scan.p)} good primes "
                 f"<= {cfg.x_max} ({len(scan.excluded)} primes excluded)"
             )
             return EXIT_OK

@@ -18,13 +18,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from frobmatch.arith import log_integral
 from frobmatch.cache import cache_path, read_trace_cache, write_trace_cache
 from frobmatch.config import ExperimentConfig
 # nothing here calls ap_bsgs; the binding stays for perfbench's tracer, which wraps it
 from frobmatch.elliptic import CurveQ, ap_bsgs, ap_lanes  # noqa: F401
 from frobmatch.frobenius import (
-    MatchRecord,
     PairScan,
     chebotarev_empirical,
     residue_modulus,
@@ -84,14 +85,12 @@ def compute_traces(
     primes: list[int],
     threads: int = 1,
     cached: dict[int, int] | None = None,
-    work_unit: int = WORK_UNIT_PRIMES,
 ) -> dict[int, int]:
     """{p: a_p} for every listed good prime, reusing `cached` entries."""
     traces = dict(cached or {})
     missing = [p for p in primes if p not in traces]
-    blocks = [
-        tuple(missing[i : i + work_unit]) for i in range(0, len(missing), work_unit)
-    ]
+    unit = WORK_UNIT_PRIMES
+    blocks = [tuple(missing[i : i + unit]) for i in range(0, len(missing), unit)]
     args = [(curve.A, curve.B, blk) for blk in blocks]
     if threads > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -134,29 +133,22 @@ def checkpoint_z(cfg: ExperimentConfig, x: int) -> float:
     return z
 
 
-def growth_series(records: tuple[MatchRecord, ...], checkpoints: tuple[int, ...]) -> GrowthSeries:
-    rows = []
-    i = 0
-    equal = joint00 = total = 0
-    for x in checkpoints:
-        while i < len(records) and records[i].p <= x:
-            r = records[i]
-            total += 1
-            equal += r.matched
-            joint00 += r.a_p == 0 and r.b_p == 0
-            i += 1
-        rows.append(
-            GrowthRow(
-                x=x,
-                s_equal_fields=equal,
-                s_joint_00=joint00,
-                pi_good=total,
-                grh_shape=theorem_bound_curves(x, "grh"),
-                uncond_shape=theorem_bound_curves(x, "uncond"),
-                loglog_shape=math.log(math.log(x)),
-            )
+def growth_series(scan: PairScan, checkpoints: tuple[int, ...]) -> GrowthSeries:
+    ends = np.searchsorted(scan.p, checkpoints, side="right").tolist()
+    matched, joint00 = scan.matched, (scan.a_p == 0) & (scan.b_p == 0)
+    rows = tuple(
+        GrowthRow(
+            x=x,
+            s_equal_fields=int(np.count_nonzero(matched[:k])),
+            s_joint_00=int(np.count_nonzero(joint00[:k])),
+            pi_good=k,
+            grh_shape=theorem_bound_curves(x, "grh"),
+            uncond_shape=theorem_bound_curves(x, "uncond"),
+            loglog_shape=math.log(math.log(x)),
         )
-    return GrowthSeries(tuple(rows))
+        for x, k in zip(checkpoints, ends)
+    )
+    return GrowthSeries(rows)
 
 
 def write_growth_csv(series: GrowthSeries, path: str) -> None:
@@ -230,9 +222,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> GrowthSeries:
         residue_modulus(cfg.q1, cfg.q2)
     os.makedirs(out_dir, exist_ok=True)
     scan = pair_scan(cfg)
-    write_match_csv(scan.records, os.path.join(out_dir, "match.csv"))
+    write_match_csv(scan, os.path.join(out_dir, "match.csv"))
 
-    series = growth_series(scan.records, cfg.x_checkpoints)
+    series = growth_series(scan, cfg.x_checkpoints)
     write_growth_csv(series, os.path.join(out_dir, "growth.csv"))
 
     reports = [

@@ -17,7 +17,9 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Callable, Iterable
+from typing import Callable
+
+import numpy as np
 
 from frobmatch.arith import (
     check_odd_prime_pair,
@@ -45,28 +47,27 @@ class FrobeniusFieldTag:
             raise ValueError(f"field tag needs squarefree D >= 1, got {self.D}")
 
 
-@dataclass(frozen=True)
-class MatchRecord:
-    p: int
-    a_p: int
-    b_p: int
-    D1: int
-    D2: int
-    matched: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairScan:
-    """The trace table of a curve pair: one MatchRecord per common good prime
-    p <= x, ascending, plus the skipped primes.  Every pair count reads it."""
+    """The trace table of a curve pair as int64 columns, one entry per common
+    good prime p <= x in ascending order, plus the skipped primes.  Every pair
+    count reads it."""
 
     x: int
-    records: tuple[MatchRecord, ...]
+    p: np.ndarray
+    a_p: np.ndarray
+    b_p: np.ndarray
+    D1: np.ndarray
+    D2: np.ndarray
     excluded: tuple[int, ...]
 
     @property
+    def matched(self) -> np.ndarray:
+        return self.D1 == self.D2
+
+    @property
     def match_count(self) -> int:
-        return sum(1 for r in self.records if r.matched)
+        return int(np.count_nonzero(self.matched))
 
 
 def good_primes(x: int, *curves: CurveQ) -> tuple[list[int], list[int]]:
@@ -111,14 +112,17 @@ def product_is_square_check(p: int, a: int, b: int) -> bool:
 
 
 def scan_pair(e1: CurveQ, e2: CurveQ, x: int, engine: TraceEngine = ap_lanes) -> PairScan:
-    """One MatchRecord per common good prime p <= x, ascending; `engine` is
+    """The pair's columns over the common good primes p <= x; `engine` is
     called once per curve on those primes."""
     good, skipped = good_primes(x, e1, e2)
-    records = tuple(
-        MatchRecord(p, a, b, _field_d(p, a), _field_d(p, b), product_is_square_check(p, a, b))
-        for p, a, b in zip(good, engine(e1, good), engine(e2, good))
-    )
-    return PairScan(x, records, tuple(skipped))
+    a, b = engine(e1, good), engine(e2, good)
+    for p, s, t in zip(good, a, b):
+        if s * s >= 4 * p or t * t >= 4 * p:
+            raise ValueError(f"traces violate the Hasse bound at p={p}: a={s}, b={t}")
+    d1 = [_field_d(p, s) for p, s in zip(good, a)]
+    d2 = [_field_d(p, t) for p, t in zip(good, b)]
+    columns = (np.array(c, dtype=np.int64) for c in (good, a, b, d1, d2))
+    return PairScan(x, *columns, tuple(skipped))
 
 
 def count_fixed_trace(e: CurveQ, t: int, x: int, engine: TraceEngine = ap_lanes) -> int:
@@ -138,7 +142,7 @@ def count_fixed_field(e: CurveQ, d: int, x: int, engine: TraceEngine = ap_lanes)
 
 def count_joint_traces(scan: PairScan, t1: int, t2: int) -> int:
     """#{p <= x good for both : a_p = t1 and b_p = t2}."""
-    return sum(1 for r in scan.records if r.a_p == t1 and r.b_p == t2)
+    return int(np.count_nonzero((scan.a_p == t1) & (scan.b_p == t2)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +158,13 @@ class CheboTable:
     x: int
     counts: list[list[list[int]]]
     n_good: int
-    excluded: tuple[int, ...]
 
     @property
     def modulus(self) -> int:
         return self.q1 * self.q2
 
-    def cell(self, d: int, s: int, t: int) -> int:
-        n = self.modulus
-        return self.counts[d % n][s % n][t % n]
-
     def column_total(self, d: int) -> int:
-        n = self.modulus
-        return sum(self.counts[d % n][s][t] for s in range(n) for t in range(n))
+        return sum(map(sum, self.counts[d % self.modulus]))
 
 
 def residue_modulus(q1: int, q2: int) -> int:
@@ -179,10 +177,9 @@ def residue_modulus(q1: int, q2: int) -> int:
 def chebotarev_empirical(scan: PairScan, q1: int, q2: int) -> CheboTable:
     """Histogram the scanned primes into (p, a_p, b_p) residue cells."""
     n = residue_modulus(q1, q2)
-    counts = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for r in scan.records:
-        counts[r.p % n][r.a_p % n][r.b_p % n] += 1
-    return CheboTable(q1, q2, scan.x, counts, len(scan.records), scan.excluded)
+    cells = (scan.p % n * n + scan.a_p % n) * n + scan.b_p % n
+    counts = np.bincount(cells, minlength=n**3).reshape(n, n, n)
+    return CheboTable(q1, q2, scan.x, counts.tolist(), len(scan.p))
 
 
 def chebotarev_deviation(table: CheboTable) -> tuple[float, tuple[int, int, int]]:
@@ -208,10 +205,11 @@ def chebotarev_deviation(table: CheboTable) -> tuple[float, tuple[int, int, int]
     return worst, worst_cell
 
 
-def write_match_csv(records: Iterable[MatchRecord], path) -> None:
+def write_match_csv(scan: PairScan, path) -> None:
     """Deterministic CSV, one row per good prime in ascending order."""
+    columns = (scan.p, scan.a_p, scan.b_p, scan.D1, scan.D2)
+    flags = ["true" if m else "false" for m in scan.matched.tolist()]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(MATCH_CSV_COLUMNS)
-        for r in records:
-            w.writerow([r.p, r.a_p, r.b_p, r.D1, r.D2, "true" if r.matched else "false"])
+        w.writerows(zip(*(c.tolist() for c in columns), flags))

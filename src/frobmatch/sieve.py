@@ -110,7 +110,9 @@ def curve_pair_multiset(scan: PairScan, x: int) -> Multiset:
     """Elements (4p - a_p^2)(4p - b_p^2) over the scanned primes p <= x."""
     if x > scan.x:
         raise ValueError(f"the scan stops at x={scan.x}, below {x}")
-    return Multiset(tuple(pair_product(r.p, r.a_p, r.b_p) for r in scan.records if r.p <= x))
+    k = int(np.searchsorted(scan.p, x, side="right"))
+    columns = (scan.p[:k], scan.a_p[:k], scan.b_p[:k])
+    return Multiset(tuple(map(pair_product, *(c.tolist() for c in columns))))
 
 
 def square_count_exact(a: Multiset) -> int:
@@ -236,9 +238,9 @@ def prime_char_sum(scan: PairScan, q1: int, q2: int) -> int:
     """sum over scanned p, p not in {q1, q2}, of ((4p-a_p^2)(4p-b_p^2)/q1q2)."""
     n = check_odd_prime_pair(q1, q2)
     return sum(
-        jacobi_symbol(pair_product(r.p, r.a_p, r.b_p), n)
-        for r in scan.records
-        if r.p != q1 and r.p != q2
+        jacobi_symbol(pair_product(p, a, b), n)
+        for p, a, b in zip(scan.p.tolist(), scan.a_p.tolist(), scan.b_p.tolist())
+        if p != q1 and p != q2
     )
 
 
@@ -265,16 +267,14 @@ def choose_z_grh(x: float) -> float:
     Note this exceeds 3 (a usable window) only for astronomically large x;
     desk-scale experiments should use a fixed z instead.
     """
-    if x < 100:
-        raise ValueError(f"need x >= 100, got {x}")
+    check_bound_x(x)
     return x ** (1 / 30) * math.log(x) ** (-1 / 15)
 
 
 def choose_z_uncond(x: float, c3: float = 1.0) -> float:
     """Window parameter for the unconditional bound:
     c3 (log x)^(1/42) (log log x)^(-1/21)."""
-    if x < 100:
-        raise ValueError(f"need x >= 100, got {x}")
+    check_bound_x(x)
     if c3 <= 0:
         raise ValueError(f"need c3 > 0, got {c3}")
     return c3 * math.log(x) ** (1 / 42) * math.log(math.log(x)) ** (-1 / 21)

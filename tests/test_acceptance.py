@@ -142,15 +142,16 @@ def test_criterion_4_trace_correctness():
 
 def test_criterion_5_square_detection_equivalence(demo_traces_1e4):
     scan = demo_traces_1e4
+    columns = (scan.p, scan.a_p, scan.b_p, scan.D1, scan.D2, scan.matched)
     bad = sum(
         1
-        for r in scan.records
-        if not (r.matched == product_is_square_check(r.p, r.a_p, r.b_p) == (r.D1 == r.D2))
+        for p, a, b, d1, d2, matched in zip(*(c.tolist() for c in columns))
+        if not (matched == product_is_square_check(p, a, b) == (d1 == d2))
     )
     _report(
         5,
         bad == 0,
-        f"three-way square-detection agreement on {len(scan.records)} good primes: "
+        f"three-way square-detection agreement on {len(scan.p)} good primes: "
         f"{bad} disagreements",
     )
 

@@ -58,8 +58,8 @@ class TestProductSquareCheck:
             product_is_square_check(5, 5, 0)
 
     def test_equals_squarefree_comparison(self, demo_traces_1e4):
-        for r in demo_traces_1e4.records[:400]:
-            p, a, b = r.p, r.a_p, r.b_p
+        scan = demo_traces_1e4
+        for p, a, b in zip(*(c[:400].tolist() for c in (scan.p, scan.a_p, scan.b_p))):
             lhs = product_is_square_check(p, a, b)
             rhs = _squarefree_part_slow(4 * p - a * a) == _squarefree_part_slow(4 * p - b * b)
             assert lhs == rhs
@@ -67,18 +67,28 @@ class TestProductSquareCheck:
 
 class TestScanPair:
     def test_three_way_agreement(self, demo_traces_1e4):
-        for r in demo_traces_1e4.records:
-            assert r.matched == product_is_square_check(r.p, r.a_p, r.b_p) == (r.D1 == r.D2)
+        scan = demo_traces_1e4
+        columns = (scan.p, scan.a_p, scan.b_p, scan.D1, scan.D2, scan.matched)
+        for p, a, b, d1, d2, matched in zip(*(c.tolist() for c in columns)):
+            assert matched == product_is_square_check(p, a, b) == (d1 == d2)
+
+    def test_rejects_engine_outside_hasse(self):
+        def beyond_hasse(curve, primes):
+            return [math.isqrt(4 * p) + 1 for p in primes]
+
+        first = good_primes(100, E1, E2)[0][0]
+        with pytest.raises(ValueError, match=f"Hasse bound at p={first}:"):
+            scan_pair(E1, E2, 100, beyond_hasse)
 
     def test_excluded_side_channel(self):
         scan = scan_pair(E1, E2, 100, naive_traces)
         assert set(scan.excluded) == {p for p in primes_in(0, 100) if p in E1.bad_primes | E2.bad_primes}
-        assert len(scan.records) + len(scan.excluded) == len(primes_in(0, 100))
+        assert len(scan.p) + len(scan.excluded) == len(primes_in(0, 100))
 
     def test_identical_curves_always_match(self):
         scan = scan_pair(E1, E1, 300, naive_traces)
         count = scan.match_count
-        assert count == len(scan.records)
+        assert count == len(scan.p)
         good, _ = good_primes(300, E1)
         assert count == len(good)
 
@@ -86,7 +96,7 @@ class TestScanPair:
         # a twist changes traces only by sign, so 4p - a_p^2 is unchanged
         tw = quadratic_twist(E1, 2)
         scan = scan_pair(E1, tw, 1000, naive_traces)
-        assert scan.records and all(r.matched for r in scan.records)
+        assert len(scan.p) and scan.matched.all()
 
     def test_minus_one_twist_invariance(self):
         # the -1 twist (A, -B) has the same discriminant, so the same primes
@@ -196,6 +206,13 @@ class TestChebotarev:
         for d in (1, 2, 7):
             assert table.column_total(d) == sum(1 for p in good if p % 15 == d)
 
+    def test_cells_equal_a_loop(self, table):
+        good, _ = good_primes(3000, E1, E2)
+        expected = [[[0] * 15 for _ in range(15)] for _ in range(15)]
+        for p in good:
+            expected[p % 15][ap_naive(E1, p) % 15][ap_naive(E2, p) % 15] += 1
+        assert table.counts == expected
+
     def test_deviation_report_runs(self, table):
         dev, cell = chebotarev_deviation(table)
         assert dev >= 0
@@ -206,15 +223,14 @@ class TestMatchCsv:
     def test_golden_and_deterministic(self, tmp_path):
         scan = scan_pair(E1, E2, 200, naive_traces)
         path1, path2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_match_csv(scan.records, path1)
-        write_match_csv(scan.records, path2)
+        write_match_csv(scan, path1)
+        write_match_csv(scan, path2)
         data = path1.read_bytes()
         assert data == path2.read_bytes()
         lines = data.decode().splitlines()
         assert lines[0] == "p,a_p,b_p,D1,D2,matched"
-        first = scan.records[0]
-        assert lines[1] == (
-            f"{first.p},{first.a_p},{first.b_p},{first.D1},{first.D2},"
-            f"{'true' if first.matched else 'false'}"
+        first = [int(c[0]) for c in (scan.p, scan.a_p, scan.b_p, scan.D1, scan.D2)]
+        assert lines[1] == ",".join(map(str, first)) + (
+            ",true" if first[3] == first[4] else ",false"
         )
-        assert len(lines) == len(scan.records) + 1
+        assert len(lines) == len(scan.p) + 1

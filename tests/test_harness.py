@@ -18,7 +18,14 @@ from frobmatch.cache import cache_path, read_trace_cache, write_trace_cache
 from frobmatch.config import parse_config
 from frobmatch.elliptic import CurveQ, ap_naive
 from frobmatch.experiment import compute_traces, growth_series, run_experiment
-from frobmatch.frobenius import good_primes, scan_pair
+from frobmatch.frobenius import (
+    PairScan,
+    chebotarev_empirical,
+    count_joint_traces,
+    good_primes,
+    scan_pair,
+)
+from frobmatch.sieve import curve_pair_multiset
 from frobmatch.svgplot import render_loglog_svg
 from conftest import naive_traces
 
@@ -49,6 +56,10 @@ def _next_prime(n):
     while not is_prime(n):
         n += 1
     return n
+
+
+def test_public_names_resolve():
+    assert [n for n in frobmatch.__all__ if not hasattr(frobmatch, n)] == []
 
 
 class TestCache:
@@ -95,10 +106,11 @@ class TestCache:
 
 
 class TestComputeTraces:
-    def test_pool_matches_inline(self):
+    def test_pool_matches_inline(self, monkeypatch):
         good, _ = good_primes(4000, E1)
         inline = compute_traces(E1, good, threads=1)
-        pooled = compute_traces(E1, good, threads=2, work_unit=100)
+        monkeypatch.setattr(experiment, "WORK_UNIT_PRIMES", 100)
+        pooled = compute_traces(E1, good, threads=2)
         assert inline == pooled
         assert set(inline) == set(good)
 
@@ -116,11 +128,18 @@ class TestComputeTraces:
 class TestGrowthSeries:
     def test_prefix_property(self):
         scan = scan_pair(E1, E2, 3000, naive_traces)
-        series = growth_series(scan.records, (1000, 2000, 3000))
+        series = growth_series(scan, (1000, 1009, 2000, 3000))  # 1009 is a good prime
+        columns = (scan.p, scan.a_p, scan.b_p, scan.D1, scan.D2)
         for row in series.rows:
             sub = scan_pair(E1, E2, row.x, naive_traces)
-            assert row.pi_good == len(sub.records)
+            assert row.pi_good == len(sub.p)
             assert row.s_equal_fields == sub.match_count
+            assert row.s_joint_00 == count_joint_traces(sub, 0, 0)
+            multiset = curve_pair_multiset(scan, row.x)
+            assert multiset.elements == curve_pair_multiset(sub, row.x).elements
+            prefix = PairScan(row.x, *(c[: row.pi_good] for c in columns), sub.excluded)
+            table = chebotarev_empirical(prefix, 3, 5)
+            assert table.counts == chebotarev_empirical(sub, 3, 5).counts
         counts = [r.s_equal_fields for r in series.rows]
         assert counts == sorted(counts)
 

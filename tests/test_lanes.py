@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from frobmatch import elliptic
+from frobmatch import elliptic, experiment
 from frobmatch.arith import is_prime
 from frobmatch.elliptic import LANE_MAX_PRIME, CurveQ, ap_bsgs, ap_lanes, ap_naive
 from frobmatch.experiment import compute_traces
@@ -175,10 +175,11 @@ class TestBatching:
         assert ap_lanes(curve, good) == whole
         assert ap_lanes(curve, good[::-1]) == whole[::-1]
 
-    def test_compute_traces_uses_the_kernel(self, naive_calls):
+    def test_compute_traces_uses_the_kernel(self, naive_calls, monkeypatch):
         curve = CurveQ(5, 7)
         good, _ = good_primes(20_000, curve)
-        traces = compute_traces(curve, good, work_unit=700)
+        monkeypatch.setattr(experiment, "WORK_UNIT_PRIMES", 700)
+        traces = compute_traces(curve, good)
         assert traces == dict(zip(good, ap_lanes(curve, good)))
         # only the primes at or below BSGS_MIN_PRIME went to the fallback
         assert all(p <= elliptic.BSGS_MIN_PRIME for p in naive_calls)

@@ -62,10 +62,11 @@ class TestMultiset:
         x = 10_000
         scan = demo_traces_1e4
         a = curve_pair_multiset(scan, x)
-        assert len(a) == len(scan.records)
-        for elem, rec in zip(a.elements, scan.records):
-            assert elem == (4 * rec.p - rec.a_p**2) * (4 * rec.p - rec.b_p**2)
-            assert (math.isqrt(elem) ** 2 == elem) == rec.matched
+        assert len(a) == len(scan.p)
+        columns = (scan.p, scan.a_p, scan.b_p, scan.matched)
+        for elem, (p, a_p, b_p, matched) in zip(a.elements, zip(*(c.tolist() for c in columns))):
+            assert elem == (4 * p - a_p**2) * (4 * p - b_p**2)
+            assert (math.isqrt(elem) ** 2 == elem) == matched
             assert elem <= 16 * x * x
 
     def test_identical_curves_all_squares(self):
