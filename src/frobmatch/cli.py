@@ -136,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "experiment":
             cfg = _load(args)
             series = run_experiment(cfg, args.out)
-            last = series.rows[-1]
+            last = series[-1]
             print(
                 f"x={last.x}: matched={last.s_equal_fields} joint00={last.s_joint_00} "
                 f"good primes={last.pi_good}; artifacts in {args.out}"

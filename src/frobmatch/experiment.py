@@ -11,16 +11,14 @@ alone, independent of worker count and cache state.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from frobmatch.arith import log_integral
 from frobmatch.cache import cache_path, read_trace_cache, write_trace_cache
 from frobmatch.config import ExperimentConfig
 # nothing here calls ap_bsgs; the binding stays for perfbench's tracer, which wraps it
@@ -30,9 +28,9 @@ from frobmatch.frobenius import (
     chebotarev_empirical,
     residue_modulus,
     scan_pair,
+    write_csv,
     write_match_csv,
 )
-from frobmatch.gl2 import class_ratio
 from frobmatch.sieve import (
     SIEVE_CSV_COLUMNS,
     SieveReport,
@@ -48,16 +46,6 @@ from frobmatch.svgplot import render_loglog_svg
 
 WORK_UNIT_PRIMES = 10_000
 
-GROWTH_CSV_COLUMNS = [
-    "x",
-    "s_equal_fields",
-    "s_joint_00",
-    "pi_good",
-    "grh_shape",
-    "uncond_shape",
-    "loglog_shape",
-]
-
 
 @dataclass(frozen=True)
 class GrowthRow:
@@ -70,14 +58,7 @@ class GrowthRow:
     loglog_shape: float
 
 
-@dataclass(frozen=True)
-class GrowthSeries:
-    rows: tuple[GrowthRow, ...]
-
-
-def _trace_block(args: tuple[int, int, tuple[int, ...]]) -> list[int]:
-    a, b, primes = args
-    return ap_lanes(CurveQ(a, b), list(primes))
+GROWTH_CSV_COLUMNS = [f.name for f in fields(GrowthRow)]
 
 
 def compute_traces(
@@ -86,17 +67,18 @@ def compute_traces(
     threads: int = 1,
     cached: dict[int, int] | None = None,
 ) -> dict[int, int]:
-    """{p: a_p} for every listed good prime, reusing `cached` entries."""
+    """{p: a_p} for every listed good prime, reusing `cached` entries; at
+    most one worker process per block of missing primes."""
     traces = dict(cached or {})
     missing = [p for p in primes if p not in traces]
     unit = WORK_UNIT_PRIMES
-    blocks = [tuple(missing[i : i + unit]) for i in range(0, len(missing), unit)]
-    args = [(curve.A, curve.B, blk) for blk in blocks]
+    blocks = [missing[i : i + unit] for i in range(0, len(missing), unit)]
+    trace_block = functools.partial(ap_lanes, curve)
     if threads > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_trace_block, args))
+        with ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
+            results = list(pool.map(trace_block, blocks))
     else:
-        results = [_trace_block(a) for a in args]
+        results = map(trace_block, blocks)
     for blk, vals in zip(blocks, results):
         traces.update(zip(blk, vals))
     return traces
@@ -133,10 +115,10 @@ def checkpoint_z(cfg: ExperimentConfig, x: int) -> float:
     return z
 
 
-def growth_series(scan: PairScan, checkpoints: tuple[int, ...]) -> GrowthSeries:
+def growth_series(scan: PairScan, checkpoints: tuple[int, ...]) -> tuple[GrowthRow, ...]:
     ends = np.searchsorted(scan.p, checkpoints, side="right").tolist()
     matched, joint00 = scan.matched, (scan.a_p == 0) & (scan.b_p == 0)
-    rows = tuple(
+    return tuple(
         GrowthRow(
             x=x,
             s_equal_fields=int(np.count_nonzero(matched[:k])),
@@ -148,43 +130,23 @@ def growth_series(scan: PairScan, checkpoints: tuple[int, ...]) -> GrowthSeries:
         )
         for x, k in zip(checkpoints, ends)
     )
-    return GrowthSeries(rows)
 
 
-def write_growth_csv(series: GrowthSeries, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(GROWTH_CSV_COLUMNS)
-        for r in series.rows:
-            w.writerow(
-                [
-                    r.x,
-                    r.s_equal_fields,
-                    r.s_joint_00,
-                    r.pi_good,
-                    repr(r.grh_shape),
-                    repr(r.uncond_shape),
-                    repr(r.loglog_shape),
-                ]
-            )
+def write_growth_csv(series: tuple[GrowthRow, ...], path: str) -> None:
+    write_csv(path, GROWTH_CSV_COLUMNS, map(astuple, series))
 
 
 def write_sieve_csv(reports: list[SieveReport], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SIEVE_CSV_COLUMNS)
-        for rep in reports:
-            w.writerow(rep.csv_row())
+    write_csv(path, SIEVE_CSV_COLUMNS, map(astuple, reports))
 
 
-def growth_svg(series: GrowthSeries) -> str:
-    xs = [r.x for r in series.rows]
+def growth_svg(series: tuple[GrowthRow, ...]) -> str:
     return render_loglog_svg(
         [
-            ("matched-field count", [(x, r.s_equal_fields) for x, r in zip(xs, series.rows)]),
-            ("grh shape", [(x, r.grh_shape) for x, r in zip(xs, series.rows)]),
-            ("uncond shape", [(x, r.uncond_shape) for x, r in zip(xs, series.rows)]),
-            ("log log x", [(x, r.loglog_shape) for x, r in zip(xs, series.rows)]),
+            ("matched-field count", [(r.x, r.s_equal_fields) for r in series]),
+            ("grh shape", [(r.x, r.grh_shape) for r in series]),
+            ("uncond shape", [(r.x, r.uncond_shape) for r in series]),
+            ("log log x", [(r.x, r.loglog_shape) for r in series]),
         ],
         "Matched Frobenius fields vs bound shapes",
     )
@@ -193,21 +155,11 @@ def growth_svg(series: GrowthSeries) -> str:
 def write_residue_csv(cfg: ExperimentConfig, scan: PairScan, path: str) -> None:
     """Per-cell residue frequencies vs the class-ratio prediction at x_max."""
     table = chebotarev_empirical(scan, cfg.q1, cfg.q2)
-    li_x = log_integral(table.x)
-    n = table.modulus
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["d", "s", "t", "count", "predicted"])
-        for d in range(n):
-            if math.gcd(d, n) != 1:
-                continue
-            for s in range(n):
-                for t in range(n):
-                    predicted = float(class_ratio(cfg.q1, cfg.q2, d, s, t)) * li_x
-                    w.writerow([d, s, t, table.counts[d][s][t], repr(predicted)])
+    rows = (cell + (pred,) for cell, pred in zip(table.cells(), table.predictions()))
+    write_csv(path, ["d", "s", "t", "count", "predicted"], rows)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str) -> GrowthSeries:
+def run_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[GrowthRow, ...]:
     """Full pipeline; writes match.csv, growth.csv, sieve.csv, growth.svg,
     and residue.csv when a modulus pair is configured.
 

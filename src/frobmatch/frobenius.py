@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
-from itertools import filterfalse
-from typing import Callable
+from itertools import filterfalse, product
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from frobmatch.arith import (
     squarefree_part,
 )
 from frobmatch.elliptic import CurveQ, ap_bsgs, ap_lanes
+from frobmatch.gl2 import class_ratio
 
 # A batch trace engine: (curve, primes) -> [a_p for p in primes].
 TraceEngine = Callable[[CurveQ, list[int]], list[int]]
@@ -166,6 +168,19 @@ class CheboTable:
     def column_total(self, d: int) -> int:
         return sum(map(sum, self.counts[d % self.modulus]))
 
+    def cells(self) -> Iterator[tuple[int, int, int, int]]:
+        """(d, s, t, count) for unit d and all s, t, in lexicographic order."""
+        n = self.modulus
+        units = [d for d in range(n) if math.gcd(d, n) == 1]
+        for d, s, t in product(units, range(n), range(n)):
+            yield d, s, t, self.counts[d][s][t]
+
+    def predictions(self) -> list[float]:
+        """The class-ratio prediction (#C/#H) li(x) of each cell, in `cells` order."""
+        li_x = log_integral(self.x)
+        q1, q2 = self.q1, self.q2
+        return [float(class_ratio(q1, q2, d, s, t)) * li_x for d, s, t, _ in self.cells()]
+
 
 def residue_modulus(q1: int, q2: int) -> int:
     """q1*q2 for distinct odd primes whose residue table fits in memory."""
@@ -183,33 +198,27 @@ def chebotarev_empirical(scan: PairScan, q1: int, q2: int) -> CheboTable:
 
 
 def chebotarev_deviation(table: CheboTable) -> tuple[float, tuple[int, int, int]]:
-    """Max |empirical cell - predicted class share * li(x)| and its cell.
+    """Max |empirical cell - predicted class share * li(x)| and its first cell.
 
     The prediction is the matrix-pair class ratio from `frobmatch.gl2`; the
     deviation is reported, never asserted against a bound.
     """
-    from frobmatch.gl2 import class_ratio
+    pairs = zip(table.cells(), table.predictions())
+    worst, (d, s, t, _) = max(((abs(c[3] - pred), c) for c, pred in pairs), key=lambda w: w[0])
+    return worst, (d, s, t)
 
-    n = table.modulus
-    li_x = log_integral(table.x)
-    worst, worst_cell = -1.0, (0, 0, 0)
-    for d in range(n):
-        if math.gcd(d, n) != 1:
-            continue
-        for s in range(n):
-            for t in range(n):
-                predicted = float(class_ratio(table.q1, table.q2, d, s, t)) * li_x
-                dev = abs(table.counts[d][s][t] - predicted)
-                if dev > worst:
-                    worst, worst_cell = dev, (d, s, t)
-    return worst, worst_cell
+
+def write_csv(path, header: list[str], rows: Iterable) -> None:
+    """A header line and then `rows`, creating the file's directory if needed."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_match_csv(scan: PairScan, path) -> None:
     """Deterministic CSV, one row per good prime in ascending order."""
     columns = (scan.p, scan.a_p, scan.b_p, scan.D1, scan.D2)
     flags = ["true" if m else "false" for m in scan.matched.tolist()]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(MATCH_CSV_COLUMNS)
-        w.writerows(zip(*(c.tolist() for c in columns), flags))
+    write_csv(path, MATCH_CSV_COLUMNS, zip(*(c.tolist() for c in columns), flags))

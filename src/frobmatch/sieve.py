@@ -83,27 +83,12 @@ class SieveReport:
     term_quadratic: float
     bound_total: float
 
-    def csv_row(self) -> list:
-        return [
-            self.version,
-            repr(self.z),
-            self.P,
-            self.size,
-            self.exact_square_count,
-            repr(self.term_main),
-            repr(self.term_char),
-            repr(self.term_linear),
-            repr(self.term_quadratic),
-            repr(self.bound_total),
-        ]
-
 
 def build_prime_window(z: float) -> SievePrimeSet:
     if z < 3:
         raise ValueError(f"window (z/2, z] is empty for z={z}; need z >= 3")
-    qs = primes_in(max(int(z // 2), 2), int(z))  # odd primes only
-    qs = [q for q in qs if z / 2 < q <= z]
-    return SievePrimeSet(z, tuple(qs))
+    # an integer q > floor(z/2) exceeds z/2; the lower end 2 drops the even prime
+    return SievePrimeSet(z, tuple(primes_in(max(int(z // 2), 2), int(z))))
 
 
 def curve_pair_multiset(scan: PairScan, x: int) -> Multiset:
@@ -164,6 +149,24 @@ def _legendre_terms(a: Multiset, window: SievePrimeSet) -> tuple[list[int], np.n
     return gram[np.triu_indices(len(qs), 1)].tolist(), omega
 
 
+def _report(
+    version: int,
+    a: Multiset,
+    window: SievePrimeSet,
+    term_char: float,
+    term_linear: float = 0.0,
+    term_quadratic: float = 0.0,
+) -> SieveReport:
+    """The report of either sieve shape; version 1 has no omega terms, and
+    bound_total is the sum of the four terms."""
+    term_main = len(a) / window.P
+    total = term_main + term_char + term_linear + term_quadratic
+    return SieveReport(
+        version, window.z, window.P, len(a), square_count_exact(a),
+        term_main, term_char, term_linear, term_quadratic, total,
+    )
+
+
 def sieve_bound_v1(a: Multiset, window: SievePrimeSet) -> SieveReport:
     """First sieve shape: #A/P plus the normalized double character sum.
 
@@ -177,23 +180,9 @@ def sieve_bound_v1(a: Multiset, window: SievePrimeSet) -> SieveReport:
         raise ValueError(
             f"max element {max(a.elements)} exceeds e^P with P={p_count}; enlarge z"
         )
-    size = len(a)
-    term_main = size / p_count
     # both orderings of each pair contribute the same |inner sum|
     sums, _ = _legendre_terms(a, window)
-    term_char = 2.0 * sum(abs(s) for s in sums) / p_count**2
-    return SieveReport(
-        version=1,
-        z=window.z,
-        P=p_count,
-        size=size,
-        exact_square_count=square_count_exact(a),
-        term_main=term_main,
-        term_char=term_char,
-        term_linear=0.0,
-        term_quadratic=0.0,
-        bound_total=term_main + term_char,
-    )
+    return _report(1, a, window, 2.0 * sum(abs(s) for s in sums) / p_count**2)
 
 
 def sieve_bound_v2(a: Multiset, window: SievePrimeSet) -> SieveReport:
@@ -208,30 +197,21 @@ def sieve_bound_v2(a: Multiset, window: SievePrimeSet) -> SieveReport:
     p_count = window.P
     if p_count == 0:
         raise ValueError("empty prime window")
-    size = len(a)
-    term_main = size / p_count
     sums, omega = _legendre_terms(a, window)
-    term_char = float(max((abs(s) for s in sums), default=0))
-    term_linear = 2.0 * int(omega.sum()) / p_count
-    term_quadratic = int((omega * omega).sum()) / p_count**2
-    total = term_main + term_char + term_linear + term_quadratic
-    exact = square_count_exact(a)
-    if exact > total:
-        raise ArithmeticError(
-            f"square-sieve inequality violated: {exact} squares > bound {total}"
-        )
-    return SieveReport(
-        version=2,
-        z=window.z,
-        P=p_count,
-        size=size,
-        exact_square_count=exact,
-        term_main=term_main,
-        term_char=term_char,
-        term_linear=term_linear,
-        term_quadratic=term_quadratic,
-        bound_total=total,
+    rep = _report(
+        2,
+        a,
+        window,
+        term_char=float(max((abs(s) for s in sums), default=0)),
+        term_linear=2.0 * int(omega.sum()) / p_count,
+        term_quadratic=int((omega * omega).sum()) / p_count**2,
     )
+    if rep.exact_square_count > rep.bound_total:
+        raise ArithmeticError(
+            f"square-sieve inequality violated: {rep.exact_square_count} squares "
+            f"> bound {rep.bound_total}"
+        )
+    return rep
 
 
 def prime_char_sum(scan: PairScan, q1: int, q2: int) -> int:
@@ -249,16 +229,11 @@ def prime_char_sum_by_classes(scan: PairScan, q1: int, q2: int) -> int:
     weighted by the symbol of (4d - s^2)(4d - t^2)."""
     table = chebotarev_empirical(scan, q1, q2)
     n = table.modulus
-    total = 0
-    for d in range(n):
-        if math.gcd(d, n) != 1:
-            continue
-        for s in range(n):
-            for t in range(n):
-                c = table.counts[d][s][t]
-                if c:
-                    total += c * jacobi_symbol((4 * d - s * s) * (4 * d - t * t), n)
-    return total
+    return sum(
+        c * jacobi_symbol((4 * d - s * s) * (4 * d - t * t), n)
+        for d, s, t, c in table.cells()
+        if c
+    )
 
 
 def choose_z_grh(x: float) -> float:

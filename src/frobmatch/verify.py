@@ -13,7 +13,6 @@ Suites
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import random
@@ -27,7 +26,7 @@ from frobmatch.charsum import (
     triple_sum,
 )
 from frobmatch.elliptic import CurveQ, ap_lanes, ap_naive
-from frobmatch.frobenius import scan_pair
+from frobmatch.frobenius import scan_pair, write_csv
 from frobmatch.gl2 import (
     GL2_CSV_COLUMNS,
     order_H_formula,
@@ -60,19 +59,11 @@ def count_points_enumeration(curve: CurveQ, p: int) -> int:
     return affine + 1
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def verify_gl2(out_dir: str | None = None) -> tuple[bool, str]:
     rows = verification_rows()
     bad = sum(1 for r in rows if r[7] != "true")
     if out_dir:
-        _write_csv(os.path.join(out_dir, "gl2_verification.csv"), GL2_CSV_COLUMNS, rows)
+        write_csv(os.path.join(out_dir, "gl2_verification.csv"), GL2_CSV_COLUMNS, rows)
     hf, hh = order_H_formula(3, 5), order_H_histogram(3, 5)
     order_ok = hf == hh and order_H_formula(3, 7) == order_H_histogram(3, 7)
     part = sum(
@@ -94,7 +85,7 @@ def verify_charsum(out_dir: str | None = None) -> tuple[bool, str]:
     rows = charsum_verification_rows(97)
     bad = sum(1 for r in rows if r[4] != "true")
     if out_dir:
-        _write_csv(os.path.join(out_dir, "charsum_verification.csv"), CHARSUM_CSV_COLUMNS, rows)
+        write_csv(os.path.join(out_dir, "charsum_verification.csv"), CHARSUM_CSV_COLUMNS, rows)
     jac_ok = all(
         jacobi_sum(q) == -jacobi_symbol(-1, q)
         for q in primes_in(2, 97)

@@ -198,7 +198,7 @@ def test_criterion_8_growth_experiment(tmp_path):
     cfg = _experiment_config(10**6, "10000, 100000, 1000000", 8, tmp_path / "cache")
     series = run_experiment(cfg, str(tmp_path / "out"))
     elapsed = time.monotonic() - t0
-    ratios = [r.s_equal_fields / r.pi_good for r in series.rows]
+    ratios = [r.s_equal_fields / r.pi_good for r in series]
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
     _report(
         8,

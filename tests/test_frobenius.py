@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from frobmatch.arith import primes_in
+from frobmatch.arith import log_integral, primes_in
 from frobmatch.elliptic import CurveQ, ap_naive, quadratic_twist
 from frobmatch.frobenius import (
     CheboTable,
@@ -18,6 +18,7 @@ from frobmatch.frobenius import (
     scan_pair,
     write_match_csv,
 )
+from frobmatch.gl2 import class_ratio
 from conftest import naive_traces
 
 E1 = CurveQ(2, 3)
@@ -217,6 +218,41 @@ class TestChebotarev:
         dev, cell = chebotarev_deviation(table)
         assert dev >= 0
         assert len(cell) == 3
+
+    def test_cells_are_the_unit_grid(self, table):
+        n = table.modulus
+        units = [d for d in range(n) if math.gcd(d, n) == 1]
+        grid = [(d, s, t) for d in units for s in range(n) for t in range(n)]
+        cells = list(table.cells())
+        assert [c[:3] for c in cells] == grid
+        assert len(grid) == len(units) * n * n == 8 * 15 * 15
+        assert [c[3] for c in cells] == [table.counts[d][s][t] for d, s, t in grid]
+
+    @staticmethod
+    def _deviation_by_loop(table):
+        li_x = log_integral(table.x)
+        worst, worst_cell = -1.0, None
+        for d in range(15):
+            if math.gcd(d, 15) != 1:
+                continue
+            for s in range(15):
+                for t in range(15):
+                    predicted = float(class_ratio(3, 5, d, s, t)) * li_x
+                    dev = abs(table.counts[d][s][t] - predicted)
+                    if dev > worst:
+                        worst, worst_cell = dev, (d, s, t)
+        return worst, worst_cell
+
+    def test_deviation_equals_a_loop(self, table):
+        assert chebotarev_deviation(table) == self._deviation_by_loop(table)
+
+    def test_deviation_tie_goes_to_the_first_cell(self, table):
+        # with no primes counted, every cell's deviation is its prediction,
+        # and the largest prediction is shared by many cells
+        empty = CheboTable(3, 5, table.x, [[[0] * 15 for _ in range(15)] for _ in range(15)], 0)
+        dev, cell = chebotarev_deviation(empty)
+        assert (dev, cell) == self._deviation_by_loop(empty)
+        assert sum(p == dev for p in empty.predictions()) > 1
 
 
 class TestMatchCsv:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -114,6 +115,33 @@ class TestComputeTraces:
         assert inline == pooled
         assert set(inline) == set(good)
 
+    def test_pool_is_capped_at_the_number_of_blocks(self, monkeypatch):
+        # a fake executor records the worker count, so no process starts
+        opened = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiment, "WORK_UNIT_PRIMES", 100)
+        good, _ = good_primes(2000, E1)
+        blocks = math.ceil(len(good) / 100)
+        assert blocks > 2
+        traces = compute_traces(E1, good, threads=100_000)
+        assert traces == dict(zip(good, naive_traces(E1, good)))
+        compute_traces(E1, good, threads=2)
+        assert opened == [blocks, 2]
+
     def test_cache_reuse_skips_work(self):
         good, _ = good_primes(1000, E1)
         full = compute_traces(E1, good)
@@ -130,7 +158,7 @@ class TestGrowthSeries:
         scan = scan_pair(E1, E2, 3000, naive_traces)
         series = growth_series(scan, (1000, 1009, 2000, 3000))  # 1009 is a good prime
         columns = (scan.p, scan.a_p, scan.b_p, scan.D1, scan.D2)
-        for row in series.rows:
+        for row in series:
             sub = scan_pair(E1, E2, row.x, naive_traces)
             assert row.pi_good == len(sub.p)
             assert row.s_equal_fields == sub.match_count
@@ -140,7 +168,7 @@ class TestGrowthSeries:
             prefix = PairScan(row.x, *(c[: row.pi_good] for c in columns), sub.excluded)
             table = chebotarev_empirical(prefix, 3, 5)
             assert table.counts == chebotarev_empirical(sub, 3, 5).counts
-        counts = [r.s_equal_fields for r in series.rows]
+        counts = [r.s_equal_fields for r in series]
         assert counts == sorted(counts)
 
 
@@ -175,7 +203,7 @@ class TestRunExperiment:
     def test_artifacts_exist(self, tmp_path):
         cfg = parse_config(_config_text(1500, "1500", 1))
         series = run_experiment(cfg, str(tmp_path / "out"))
-        assert len(series.rows) == 1
+        assert len(series) == 1
         for f in ("match.csv", "growth.csv", "sieve.csv", "growth.svg"):
             assert (tmp_path / "out" / f).exists()
 
@@ -216,6 +244,13 @@ class TestVerificationGates:
         assert ok
         ok, _ = verify.verify_elliptic(p_max_naive=300, p_max_lanes=1000)
         assert ok
+
+    def test_report_into_a_new_nested_directory(self, tmp_path):
+        out = tmp_path / "reports" / "gl2"
+        ok, _ = verify.verify_gl2(str(out))
+        assert ok
+        header = (out / "gl2_verification.csv").read_text().splitlines()[0]
+        assert header == ",".join(gl2.GL2_CSV_COLUMNS)
 
     def test_injected_fault_detected(self, monkeypatch):
         real = gl2.count_det_trace_single

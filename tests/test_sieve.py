@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobmatch.arith import jacobi_symbol, log_integral
+from frobmatch.arith import jacobi_symbol, log_integral, primes_in
 from frobmatch.elliptic import CurveQ
 from frobmatch.frobenius import good_primes, scan_pair
 from frobmatch.sieve import (
@@ -45,6 +45,25 @@ class TestPrimeWindow:
     def test_odd_primes_only(self, z):
         # (z/2, z] holds 2 for z < 4; the window drops it
         assert build_prime_window(z).primes == (3,)
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            *range(3, 40),
+            97,
+            100,
+            2999,
+            3.5,
+            3.99,
+            30.5,
+            100.7,
+            *(round(random.Random(k).uniform(3, 10**4), 3) for k in range(12)),
+        ],
+    )
+    def test_is_the_odd_primes_of_the_half_open_interval(self, z):
+        # the window needs no z/2 < q <= z filter after its prime sieve
+        expected = tuple(q for q in primes_in(2, int(z)) if z / 2 < q <= z)
+        assert build_prime_window(z).primes == expected
 
     def test_density_matches_pnt(self):
         for z in (10**3, 10**4, 10**5):
