@@ -1,19 +1,24 @@
 """Integer and modular arithmetic primitives shared by every other module.
 
-Everything here is exact integer arithmetic except `log_integral`, which is
-the one numerical routine in the package (documented tolerance 1e-9).
+Everything here is exact integer arithmetic except `log_integral`, the one
+real-valued routine in the package, which sums a positive series in 50-digit
+decimal arithmetic and returns the float nearest the true value.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-from scipy.integrate import quad
+from decimal import Decimal, localcontext
 
 # Segmented sieve block: 2^18 flags keeps the working set cache-sized while
 # still amortizing the per-block setup.
 _BLOCK = 1 << 18
+
+# Euler's constant and li(2), both to 50 significant digits.
+_EULER_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
+_LI_2 = Decimal("1.0451637801174927848445888891946131365226155781512")
 
 # Growing cache of small primes used by trial division.
 _small_primes: list[int] = [2, 3, 5, 7, 11, 13]
@@ -186,11 +191,22 @@ def check_odd_prime_pair(q1: int, q2: int) -> int:
 
 
 def log_integral(x: float) -> float:
-    """li(x) = integral of dt/log(t) from 2 to x.
+    """li(x) - li(2), the integral of dt/log(t) from 2 to x, for 2 < x < inf.
 
-    Adaptive quadrature with relative tolerance 1e-9.
+    Sums li(x) = gamma + ln ln x + sum_{n>=1} (ln x)^n / (n * n!) in 50-digit
+    decimal arithmetic.  Every term is positive, so the only cancellation is
+    the final subtraction of li(2), and the float conversion rounds the
+    50-digit result to nearest.
     """
-    if x <= 2:
-        raise ValueError(f"log_integral needs x > 2, got {x}")
-    val, _err = quad(lambda t: 1.0 / math.log(t), 2.0, x, epsrel=1e-10, limit=200)
-    return val
+    if not 2 < x < math.inf:
+        raise ValueError(f"log_integral needs 2 < x < inf, got {x}")
+    with localcontext() as ctx:
+        ctx.prec = 50
+        # exact for any int and any float, numpy scalars included
+        L = Decimal(int(x) if isinstance(x, numbers.Integral) else float(x)).ln()
+        term, series, n = L, L, 1  # term = L^n / (n * n!)
+        while term >= series * Decimal("1e-55"):
+            n += 1
+            term = term * L * (n - 1) / (n * n)
+            series += term
+        return float(_EULER_GAMMA + L.ln() + series - _LI_2)

@@ -81,8 +81,8 @@ def _load(args) -> ExperimentConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    os.makedirs(args.out, exist_ok=True)
     try:
+        os.makedirs(args.out, exist_ok=True)
         if args.command == "ap":
             if not (args.p <= AP_P_MAX and is_prime(args.p)):
                 raise ConfigError(f"p={args.p} is not a prime <= {AP_P_MAX}")
@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as e:

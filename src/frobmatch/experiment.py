@@ -90,6 +90,7 @@ def _cached_traces(cfg: ExperimentConfig, curve: CurveQ, good: list[int]) -> lis
     if cfg.cache_dir is None:
         traces = compute_traces(curve, good, cfg.threads)
     else:
+        os.makedirs(cfg.cache_dir, exist_ok=True)  # an unusable dir fails before trace work
         path = cache_path(cfg.cache_dir, curve)
         cached = read_trace_cache(path, curve)
         traces = compute_traces(curve, good, cfg.threads, cached)

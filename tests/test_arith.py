@@ -1,5 +1,8 @@
 import math
+import random
 
+import mpmath
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given
@@ -160,3 +163,34 @@ class TestLogIntegral:
         # mpmath's offset li)
         assert log_integral(10.0) == pytest.approx(5.12043572466981, rel=1e-9)
         assert log_integral(1e6) == pytest.approx(78626.5039956821, rel=1e-9)
+
+
+def _li_sample() -> list[float]:
+    rng = random.Random(20170)
+    xs: list[float] = [rng.randint(3, 10**7) for _ in range(600)]
+    xs += [rng.uniform(2.0, 100.0) for _ in range(200)]
+    xs += [math.exp(rng.uniform(math.log(2.0), math.log(1e15))) for _ in range(200)]
+    xs += [math.nextafter(2.0, 3.0), math.e]
+    return [x for x in xs if x > 2]
+
+
+class TestLogIntegralRounding:
+    def test_correctly_rounded_against_mpmath(self):
+        with mpmath.workprec(300):
+            li2 = mpmath.li(2)
+            wrong = [x for x in _li_sample() if log_integral(x) != float(mpmath.li(x) - li2)]
+        assert wrong == []
+
+    def test_benchmark_x_max_value(self):
+        # the predicted column of residue.csv at x_max = 2*10^5 depends on
+        # this exact float
+        assert log_integral(200_000) == 18035.006958116883
+
+    def test_numpy_scalars(self):
+        assert log_integral(np.int64(200_000)) == log_integral(200_000)
+        assert log_integral(np.float64(1e6)) == log_integral(1e6)
+
+    @pytest.mark.parametrize("x", [2, 2.0, 1.5, -1.0, math.inf, math.nan])
+    def test_rejects_x_outside_the_open_range(self, x):
+        with pytest.raises(ValueError):
+            log_integral(x)

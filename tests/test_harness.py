@@ -422,3 +422,70 @@ class TestCli:
         assert cli.main(
             ["--threads", "1", "--out", str(tmp_path / "o"), "match-count", str(cfg)]
         ) == 0
+
+
+def _child(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `python -c code args...` on this checkout's frobmatch, under a timeout."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(frobmatch.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60, env=env
+    )
+
+
+_CLI = "import sys; from frobmatch import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+class TestCliBadPaths:
+    # exit 1 means a verification failure, so an unusable path must be exit 2
+    def _assert_input_error(self, child):
+        assert child.returncode == 2
+        assert "Traceback" not in child.stderr
+        assert child.stderr.startswith("error: ")
+
+    def test_out_is_a_file_for_ap(self, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        self._assert_input_error(_child(_CLI, "--out", str(out), "ap", "0", "1", "7"))
+
+    def test_out_is_a_file_for_experiment(self, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(_config_text(1000, "1000", 1))
+        self._assert_input_error(_child(_CLI, "--out", str(out), "experiment", str(cfg)))
+
+    def test_cache_dir_is_a_file(self, tmp_path):
+        cache = tmp_path / "taken"
+        cache.write_text("")
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(_config_text(1000, "1000", 1, cache_dir=str(cache)))
+        child = _child(_CLI, "--out", str(tmp_path / "o"), "experiment", str(cfg))
+        self._assert_input_error(child)
+        assert cache.read_text() == ""
+
+    def test_cache_dir_is_a_file_fails_before_trace_work(self, tmp_path, monkeypatch, capsys):
+        def no_traces(*args, **kwargs):
+            raise AssertionError("traces computed for a cache dir that cannot be used")
+
+        monkeypatch.setattr(experiment, "compute_traces", no_traces)
+        cache = tmp_path / "taken"
+        cache.write_text("")
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(_config_text(1000, "1000", 1, cache_dir=str(cache)))
+        assert cli.main(["--out", str(tmp_path / "o"), "experiment", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_experiment_runs_without_scipy(tmp_path):
+    # a fresh interpreter: an experiment must never load scipy, whose import
+    # alone costs more than a small experiment
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(_config_text(1000, "1000", 1))
+    code = (
+        "import sys; from frobmatch import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    child = _child(code, "--out", str(tmp_path / "o"), "experiment", str(cfg))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "[]"
