@@ -3,6 +3,13 @@
 Everything here is exact integer arithmetic except `log_integral`, the one
 real-valued routine in the package, which sums a positive series in 50-digit
 decimal arithmetic and returns the float nearest the true value.
+
+`squarefree_part` takes an int or an integer column.  An int goes through
+trial division (`factorize`); a column is reduced in one int64 pass over the
+primes up to the cube root of its maximum, followed by an exact square-root
+test (`isqrt_column`).  Column values must lie below `COLUMN_LIMIT = 2^62`, so
+no intermediate overflows int64: a column value outside [1, 2^62) raises
+`ValueError`.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ import numbers
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
+import numpy as np
+
 # Segmented sieve block: 2^18 flags keeps the working set cache-sized while
 # still amortizing the per-block setup.
 _BLOCK = 1 << 18
@@ -19,6 +28,10 @@ _BLOCK = 1 << 18
 # Euler's constant and li(2), both to 50 significant digits.
 _EULER_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
 _LI_2 = Decimal("1.0451637801174927848445888891946131365226155781512")
+
+# Column values stay below 2^62: then r = isqrt(n) <= 2^31, so (r + 1)^2 < 2^63
+# and the root's integer correction cannot overflow int64.
+COLUMN_LIMIT = 1 << 62
 
 # Growing cache of small primes used by trial division.
 _small_primes: list[int] = [2, 3, 5, 7, 11, 13]
@@ -141,12 +154,74 @@ def squarefree_decompose(n: int) -> SquarefreeDecomposition:
     return SquarefreeDecomposition(n, d, math.isqrt(n // d))
 
 
-def squarefree_part(n: int) -> int:
-    """The squarefree D with n = D * m**2: the primes to an odd power in n."""
+def squarefree_part(n: int | np.ndarray) -> int | np.ndarray:
+    """The squarefree D with n = D * m**2: the primes to an odd power in n.
+
+    An int goes through `factorize`; an integer column goes through one int64
+    pass (values in [1, COLUMN_LIMIT)) and gives an int64 column.
+    """
+    if isinstance(n, np.ndarray):
+        return _squarefree_column(n)
     d = 1
     for p, e in factorize(n).items():
         if e % 2:
             d *= p
+    return d
+
+
+def _check_column(n: np.ndarray, low: int) -> None:
+    if n.ndim != 1 or n.dtype.kind not in "iu":
+        raise ValueError(f"need a 1-D integer column, got {n.ndim}-D {n.dtype}")
+    if n.size and not (n.min() >= low and n.max() < COLUMN_LIMIT):
+        raise ValueError(
+            f"column values must lie in [{low}, 2^62), got [{n.min()}, {n.max()}]"
+        )
+
+
+def isqrt_column(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) of each value of an integer column in [0, COLUMN_LIMIT).
+
+    The float64 square root is within 1 of the integer root below 2^62, so
+    one integer correction either way makes it exact.  (With a correctly
+    rounded sqrt it is never below the integer root, so the upward step
+    only guards a platform whose sqrt is not.)
+    """
+    _check_column(n, 0)
+    r = np.sqrt(n, dtype=np.float64).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r
+
+
+def _squarefree_column(n: np.ndarray) -> np.ndarray:
+    # Every prime q <= cbrt(max) is divided out fully and kept once in D when
+    # its exponent is odd.  The cofactor then has at most two prime factors,
+    # each above the cube root: it is 1, Q, Q1*Q2 or Q^2, and squarefree
+    # unless it is a square.
+    _check_column(n, 1)
+    rest = n.astype(np.int64)  # a copy, divided in place
+    d = np.ones_like(rest)
+    top = int(rest.max(initial=1))
+    lim = round(top ** (1 / 3))
+    lim -= lim**3 > top
+    lim += (lim + 1) ** 3 <= top
+    r = np.empty_like(rest)  # one buffer for every remainder
+    for q in small_primes(lim):
+        if q > lim:
+            break
+        idx = np.flatnonzero(np.remainder(rest, q, out=r) == 0)
+        odd = True
+        while idx.size:  # idx: the entries with at least one more factor q
+            rest[idx] //= q
+            if odd:
+                d[idx] *= q
+            else:
+                d[idx] //= q
+            odd = not odd
+            idx = idx[rest[idx] % q == 0]
+    root = isqrt_column(rest)
+    rest[root * root == rest] = 1
+    d *= rest
     return d
 
 

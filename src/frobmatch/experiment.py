@@ -166,7 +166,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[GrowthRow, ...]
 
     Every checkpoint (the growth series' bound shapes and the sieve window)
     and the modulus pair are checked before any trace is computed, so a
-    config that must fail leaves no artifacts behind.
+    config that must fail leaves no artifacts behind.  Each checkpoint's
+    exact square count must equal its matched-field count; a mismatch raises
+    ArithmeticError before sieve.csv is written.
     """
     for x in cfg.x_checkpoints:
         check_bound_x(x)
@@ -184,6 +186,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> tuple[GrowthRow, ...]
         sieve_bound_v2(curve_pair_multiset(scan, x), window)
         for x, window in zip(cfg.x_checkpoints, windows)
     ]
+    # a pair product is a square exactly when D1 == D2: two routes to one count
+    for row, rep in zip(series, reports):
+        if rep.exact_square_count != row.s_equal_fields:
+            raise ArithmeticError(
+                f"square count {rep.exact_square_count} != matched fields "
+                f"{row.s_equal_fields} at x={row.x}"
+            )
     write_sieve_csv(reports, os.path.join(out_dir, "sieve.csv"))
 
     if cfg.q1 is not None:

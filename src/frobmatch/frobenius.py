@@ -86,16 +86,11 @@ def good_primes(x: int, *curves: CurveQ) -> tuple[list[int], list[int]]:
     return good, skipped
 
 
-def _field_d(p: int, t: int) -> int:
-    # squarefree part D of 4p - t^2, naming the field Q(sqrt(-D))
-    return squarefree_part(4 * p - t * t)
-
-
 def frobenius_field(curve: CurveQ, p: int, a_p: int | None = None) -> FrobeniusFieldTag:
     """Field tag at a good prime p > 3; a_p may be supplied to skip recompute."""
     if a_p is None:
         a_p = ap_bsgs(curve, p)
-    return FrobeniusFieldTag(_field_d(p, a_p))
+    return FrobeniusFieldTag(squarefree_part(4 * p - a_p * a_p))
 
 
 def pair_product(p: int, a: int, b: int) -> int:
@@ -113,18 +108,34 @@ def product_is_square_check(p: int, a: int, b: int) -> bool:
     return is_perfect_square(pair_product(p, a, b))
 
 
+# Every trace at a prime p < 2^60 is below 2^31 in size, and so is its square
+# below 2^62: 4p - t^2 is then exact in int64.
+_TRACE_LIMIT = 1 << 31
+
+
+def _trace_column(traces: list[int]) -> np.ndarray:
+    """An engine's traces as int64; ValueError for a trace of size 2^31 or
+    more, which breaks the Hasse bound at every p < 2^60."""
+    col = np.array(traces)  # uint64 or object if a trace is beyond int64
+    if col.size and not -_TRACE_LIMIT < col.min() <= col.max() < _TRACE_LIMIT:
+        raise ValueError("traces violate the Hasse bound: a trace of size 2^31 or more")
+    return col.astype(np.int64, copy=False)
+
+
 def scan_pair(e1: CurveQ, e2: CurveQ, x: int, engine: TraceEngine = ap_lanes) -> PairScan:
     """The pair's columns over the common good primes p <= x; `engine` is
     called once per curve on those primes."""
     good, skipped = good_primes(x, e1, e2)
-    a, b = engine(e1, good), engine(e2, good)
-    for p, s, t in zip(good, a, b):
-        if s * s >= 4 * p or t * t >= 4 * p:
-            raise ValueError(f"traces violate the Hasse bound at p={p}: a={s}, b={t}")
-    d1 = [_field_d(p, s) for p, s in zip(good, a)]
-    d2 = [_field_d(p, t) for p, t in zip(good, b)]
-    columns = (np.array(c, dtype=np.int64) for c in (good, a, b, d1, d2))
-    return PairScan(x, *columns, tuple(skipped))
+    p = np.array(good, dtype=np.int64)
+    a, b = _trace_column(engine(e1, good)), _trace_column(engine(e2, good))
+    n1, n2 = 4 * p - a * a, 4 * p - b * b
+    outside = (n1 < 1) | (n2 < 1)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"traces violate the Hasse bound at p={good[i]}: a={a[i]}, b={b[i]}")
+    d1 = squarefree_part(n1)
+    del n1  # frees its block before the second pass allocates
+    return PairScan(x, p, a, b, d1, squarefree_part(n2), tuple(skipped))
 
 
 def count_fixed_trace(e: CurveQ, t: int, x: int, engine: TraceEngine = ap_lanes) -> int:
@@ -139,7 +150,9 @@ def count_fixed_field(e: CurveQ, d: int, x: int, engine: TraceEngine = ap_lanes)
     if d < 1 or squarefree_part(d) != d:
         raise ValueError(f"field selector must be squarefree >= 1, got {d}")
     good, _ = good_primes(x, e)
-    return sum(1 for p, a in zip(good, engine(e, good)) if _field_d(p, a) == d)
+    p = np.array(good, dtype=np.int64)
+    a = _trace_column(engine(e, good))
+    return int(np.count_nonzero(squarefree_part(4 * p - a * a) == d))
 
 
 def count_joint_traces(scan: PairScan, t1: int, t2: int) -> int:

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from frobmatch.arith import (
+    COLUMN_LIMIT,
     check_odd_prime_pair,
     is_perfect_square,
+    isqrt_column,
     jacobi_symbol,
     log_integral,
     primes_in,
@@ -101,7 +103,11 @@ def curve_pair_multiset(scan: PairScan, x: int) -> Multiset:
 
 
 def square_count_exact(a: Multiset) -> int:
-    """Perfect squares in the multiset, counted with multiplicity."""
+    """Perfect squares in the multiset, counted with multiplicity: one exact
+    int64 root per element below COLUMN_LIMIT, `is_perfect_square` above."""
+    if max(a.elements, default=0) < COLUMN_LIMIT:
+        alphas = np.array(a.elements, dtype=np.int64)
+        return int(np.count_nonzero(isqrt_column(alphas) ** 2 == alphas))
     return sum(1 for e in a.elements if is_perfect_square(e))
 
 

@@ -6,9 +6,10 @@ Suites
   charsum   complete sums, Jacobi sums, triple-sum path agreement
   elliptic  trace formula vs point enumeration, the lane kernel (the one
             trace engine) vs exact sum
-  sieve     square detection, version-2 inequality, Legendre-matrix terms
-            vs the jacobi_symbol pair loop, window density, character-sum
-            path agreement
+  sieve     square detection (int64 roots vs math.isqrt, up to and past
+            2^53), the squarefree column vs scalar trial division,
+            version-2 inequality, Legendre-matrix terms vs the jacobi_symbol
+            pair loop, window density, character-sum path agreement
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import math
 import os
 import random
 
-from frobmatch.arith import primes_in
+import numpy as np
+
+from frobmatch.arith import primes_in, squarefree_part
 from frobmatch.charsum import (
     CHARSUM_CSV_COLUMNS,
     charsum_verification_rows,
@@ -141,9 +144,20 @@ def verify_sieve() -> tuple[bool, str]:
         )
 
     sample = [rng.randrange(1, 10**6 + 1) for _ in range(1000)]
+    # around 2^53 float64 no longer holds every integer, so the root needs
+    # its integer correction
+    k = math.isqrt(1 << 53)
+    sample += [r * r + d for r in range(k - 50, k + 50) for d in (-1, 0, 1)]
     by_op = square_count_exact(Multiset(tuple(sample)))
     by_scan = sum(1 for e in sample if math.isqrt(e) ** 2 == e)
     squares_ok = by_op == by_scan
+
+    values = [rng.randrange(1, 4 * 10**7 + 1) for _ in range(1000)]
+    # 2437 is the first prime above the column's cube root, so each m * 2437^2
+    # leaves a square cofactor once the primes up to the cube root are out
+    values += [m * 2437 * 2437 for m in (1, 3, 35, 2431)]
+    column = squarefree_part(np.array(values, dtype=np.int64)).tolist()
+    squarefree_ok = column == [squarefree_part(v) for v in values]
 
     density_ok = True
     for z in (10**3, 10**4, 10**5, 10**6):
@@ -156,11 +170,12 @@ def verify_sieve() -> tuple[bool, str]:
     classes = prime_char_sum_by_classes(scan, 3, 5)
     paths_ok = direct == classes
 
-    ok = v2_ok and matrix_ok and squares_ok and density_ok and paths_ok
+    ok = v2_ok and matrix_ok and squares_ok and squarefree_ok and density_ok and paths_ok
     return ok, (
         f"sieve: v2 inequality: {v2_ok}; "
         f"Legendre-matrix terms == jacobi_symbol pair loop and omega by division: "
         f"{matrix_ok}; square-count oracle: {squares_ok}; "
+        f"squarefree column == scalar trial division: {squarefree_ok}; "
         f"window density within 25%: {density_ok}; "
         f"char-sum paths agree ({direct}): {paths_ok}"
     )

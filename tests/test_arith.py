@@ -9,13 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from frobmatch.arith import (
+    COLUMN_LIMIT,
     PrimeTable,
     is_perfect_square,
     is_prime,
+    isqrt_column,
     jacobi_symbol,
     log_integral,
     primes_in,
     squarefree_decompose,
+    squarefree_part,
 )
 
 
@@ -133,6 +136,78 @@ class TestSquarefree:
     def test_perfect_square_iff_squarefree_part_one(self):
         for n in range(1, 100_001):
             assert is_perfect_square(n) == (squarefree_decompose(n).D == 1)
+
+
+def _squarefree_sympy(n: int) -> int:
+    return math.prod(p for p, e in sympy.factorint(n).items() if e % 2)
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+class TestSquarefreeColumn:
+    """The int64 column path of squarefree_part against the scalar path."""
+
+    @given(st.lists(st.integers(1, 4 * 10**7), max_size=200))
+    def test_equals_scalar_path(self, values):
+        assert squarefree_part(_column(values)).tolist() == [squarefree_part(n) for n in values]
+
+    def test_square_of_a_prime_above_the_cube_root(self):
+        # 2437 is the first prime above the column's cube root, so each
+        # m * 2437^2 keeps the cofactor 2437^2 once the primes up to the cube
+        # root are out; 3 * Q^2 is the case a pass over q^2 alone would miss
+        ms, q, q2 = [1, 3, 35, 2431], 2437, 2441
+        values = [m * q * q for m in ms] + [q * q2, q * q, q, 1]
+        cbrt = 2434
+        assert cbrt**3 <= max(values) < (cbrt + 1) ** 3
+        assert list(sympy.primerange(cbrt + 1, q2 + 1)) == [q, q2]
+        assert squarefree_part(_column(values)).tolist() == ms + [q * q2, 1, q, 1]
+        assert squarefree_part(_column(values)).tolist() == [squarefree_part(n) for n in values]
+
+    def test_squares_and_neighbours_near_2_52(self):
+        k = math.isqrt(1 << 52)
+        values = [r * r + d for r in (k - 1, k, k + 1) for d in (-1, 0, 1)]
+        assert squarefree_part(_column(values)).tolist() == [_squarefree_sympy(n) for n in values]
+
+    def test_empty_column(self):
+        out = squarefree_part(_column([]))
+        assert out.dtype == np.int64 and out.size == 0
+
+    def test_output_dtype(self):
+        assert squarefree_part(_column([12, 7])).dtype == np.int64
+        assert squarefree_part(np.array([12, 7], dtype=np.int32)).dtype == np.int64
+
+    @pytest.mark.parametrize("values", [[0], [5, -3], [1, COLUMN_LIMIT]])
+    def test_rejects_values_outside_the_guard(self, values):
+        with pytest.raises(ValueError):
+            squarefree_part(_column(values))
+
+    def test_largest_value_below_the_guard(self):
+        n = COLUMN_LIMIT - 1  # 3 * 715827883 * 2147483647
+        assert squarefree_part(_column([n])).tolist() == [n]
+
+    def test_rejects_non_integer_or_2d_columns(self):
+        with pytest.raises(ValueError):
+            squarefree_part(np.array([4.0]))
+        with pytest.raises(ValueError):
+            squarefree_part(_column([[4]]))
+
+
+class TestIsqrtColumn:
+    def test_near_float_precision_limits(self):
+        values = [0, 1, 2, 3, 4]
+        for e in (52, 53, 61):
+            k = math.isqrt(1 << e)
+            values += [r * r + d for r in range(k - 3, k + 4) for d in (-1, 0, 1)]
+        values += [COLUMN_LIMIT - 1]
+        assert isqrt_column(_column(values)).tolist() == [math.isqrt(n) for n in values]
+
+    def test_rejects_values_outside_the_guard(self):
+        with pytest.raises(ValueError):
+            isqrt_column(_column([-1]))
+        with pytest.raises(ValueError):
+            isqrt_column(_column([COLUMN_LIMIT]))
 
 
 def _li_simpson(x: float, n_panels: int = 20_000) -> float:

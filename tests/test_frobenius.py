@@ -81,6 +81,16 @@ class TestScanPair:
         with pytest.raises(ValueError, match=f"Hasse bound at p={first}:"):
             scan_pair(E1, E2, 100, beyond_hasse)
 
+    @pytest.mark.parametrize("t", [1 << 31, -(1 << 31), 1 << 40, -(1 << 63), 1 << 64])
+    def test_rejects_engine_traces_whose_square_overflows(self, t):
+        def huge(curve, primes):
+            return [t for _ in primes]
+
+        with pytest.raises(ValueError, match="Hasse bound"):
+            scan_pair(E1, E2, 100, huge)
+        with pytest.raises(ValueError, match="Hasse bound"):
+            count_fixed_field(E1, 3, 100, huge)
+
     def test_excluded_side_channel(self):
         scan = scan_pair(E1, E2, 100, naive_traces)
         assert set(scan.excluded) == {p for p in primes_in(0, 100) if p in E1.bad_primes | E2.bad_primes}

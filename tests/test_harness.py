@@ -8,12 +8,13 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frobmatch
-from frobmatch import cli, experiment, gl2, verify
+from frobmatch import arith, cli, experiment, gl2, verify
 from frobmatch.arith import is_prime
 from frobmatch.cache import cache_path, read_trace_cache, write_trace_cache
 from frobmatch.config import parse_config
@@ -252,6 +253,15 @@ class TestVerificationGates:
         header = (out / "gl2_verification.csv").read_text().splitlines()[0]
         assert header == ",".join(gl2.GL2_CSV_COLUMNS)
 
+    def test_sieve_suite_catches_a_wrong_squarefree_column(self, monkeypatch):
+        ok, msg = verify.verify_sieve()
+        assert ok, msg
+        real = arith._squarefree_column
+        monkeypatch.setattr(arith, "_squarefree_column", lambda n: real(n) * (1 + (n == n.max())))
+        ok, msg = verify.verify_sieve()
+        assert not ok
+        assert "squarefree column == scalar trial division: False" in msg
+
     def test_injected_fault_detected(self, monkeypatch):
         real = gl2.count_det_trace_single
         monkeypatch.setattr(gl2, "count_det_trace_single", lambda q, d, t: real(q, d, t) + 1)
@@ -382,6 +392,19 @@ class TestCli:
         cfg.write_text(_config_text(1000, "1000", 1))
         assert cli.main(["--out", str(tmp_path / "o"), "sieve-demo", str(cfg)]) == 1
         assert "verification failure: square-sieve" in capsys.readouterr().err
+
+    def test_square_count_off_the_matches_is_verification_failure(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # D = 1 for every prime makes every prime a match, but not every
+        # pair product a square
+        monkeypatch.setattr(arith, "_squarefree_column", lambda n: np.ones(len(n), np.int64))
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(_config_text(1000, "1000", 1))
+        out = tmp_path / "o"
+        assert cli.main(["--out", str(out), "experiment", str(cfg)]) == 1
+        assert "verification failure: square count" in capsys.readouterr().err
+        assert not (out / "sieve.csv").exists()
 
     def test_singular_curve_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
