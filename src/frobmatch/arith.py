@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
@@ -58,6 +59,11 @@ class SquarefreeDecomposition:
     m: int
 
 
+def _flagged(flags: bytearray, offset: int) -> list[int]:
+    """offset + i for every nonzero flags[i], ascending."""
+    return (np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)) + offset).tolist()
+
+
 def _sieve_upto(n: int) -> list[int]:
     # Plain Eratosthenes, used for base primes and small ranges.
     if n < 2:
@@ -68,7 +74,7 @@ def _sieve_upto(n: int) -> list[int]:
         if flags[p]:
             start = p * p
             flags[start::p] = bytearray(len(range(start, n + 1, p)))
-    return [i for i in range(n + 1) if flags[i]]
+    return _flagged(flags, 0)
 
 
 def small_primes(limit: int) -> list[int]:
@@ -89,7 +95,8 @@ def primes_in(lo: int, hi: int) -> list[int]:
     if hi < 2:
         return []
     if hi <= _BLOCK:
-        return [p for p in _sieve_upto(hi) if p > lo]
+        primes = _sieve_upto(hi)
+        return primes[bisect_right(primes, lo) :]
     base = _sieve_upto(math.isqrt(hi))
     out: list[int] = []
     start = max(lo + 1, 2)
@@ -101,7 +108,7 @@ def primes_in(lo: int, hi: int) -> list[int]:
                 break
             first = max(p * p, ((start + p - 1) // p) * p)
             flags[first - start :: p] = bytearray(len(range(first, stop, p)))
-        out.extend(start + i for i, f in enumerate(flags) if f)
+        out.extend(_flagged(flags, start))
         start = stop
     return out
 

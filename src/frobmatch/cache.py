@@ -1,9 +1,14 @@
 """Trace cache files.
 
-Format: a header line "#curve A=<A> B=<B>" followed by one "p<TAB>a_p" line
-per prime, ascending.  A reader validates the header against the curve it
-was asked for; any mismatch or corruption counts as a miss and triggers
-recomputation, never silent reuse.
+Format (version 2): one binary file per curve, `traces_A<A>_B<B>.i64`.  It
+starts with the ASCII line "#frobmatch-traces 2 A=<A> B=<B> n=<n>\\n" and is
+followed by exactly 16*n bytes: n little-endian int64 (p, a_p) pairs,
+ascending in p.  A reader validates the header against the curve and format
+version it was asked for, and the body as columns: a file for another curve
+or version, a body of the wrong length, primes that are not strictly
+ascending in [5, 2^61), or a trace outside the Hasse bound counts as a miss
+and triggers recomputation, never silent reuse.  The plain-text `.tsv` files
+of version 1 have another name; they are ignored and left where they are.
 """
 
 from __future__ import annotations
@@ -11,45 +16,74 @@ from __future__ import annotations
 import os
 import uuid
 
+import numpy as np
+
 from frobmatch.elliptic import CurveQ
+
+VERSION = 2
+
+# A cached prime stays below 2^61, so 4p fits int64; a trace of size below
+# 2^31 has a square below 2^62, so a^2 <= 4p is exact in int64.
+_P_LIMIT = 1 << 61
+_TRACE_LIMIT = 1 << 31
+_PAIR_BYTES = 16
 
 
 def cache_path(cache_dir: str, curve: CurveQ) -> str:
-    return os.path.join(cache_dir, f"traces_A{curve.A}_B{curve.B}.tsv")
+    return os.path.join(cache_dir, f"traces_A{curve.A}_B{curve.B}.i64")
+
+
+def _header(curve: CurveQ, n: int) -> bytes:
+    return f"#frobmatch-traces {VERSION} A={curve.A} B={curve.B} n={n}\n".encode("ascii")
 
 
 def read_trace_cache(path: str, curve: CurveQ) -> dict[int, int]:
-    """Cached {p: a_p}, or {} when the file is absent, corrupt, or for a
-    different curve."""
+    """Cached {p: a_p}, or {} when the file is absent, corrupt, of another
+    format version, or for a different curve."""
     try:
-        with open(path, encoding="ascii") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != f"#curve A={curve.A} B={curve.B}":
+        with open(path, "rb") as fh:
+            # n has at most 20 digits, so a longer first line is no header
+            head = fh.readline(len(_header(curve, 0)) + 20)
+            n_text = head.rpartition(b"n=")[2].rstrip(b"\n")
+            if not n_text.isdigit() or head != _header(curve, int(n_text)):
                 return {}
-            out: dict[int, int] = {}
-            prev = 0
-            for line in fh:
-                p_str, a_str = line.rstrip("\n").split("\t")
-                p, a = int(p_str), int(a_str)
-                if p <= prev or a * a > 4 * p:
-                    return {}
-                out[p] = a
-                prev = p
-            return out
+            size = _PAIR_BYTES * int(n_text)
+            # the length is checked before reading, so a corrupt n never
+            # sizes a buffer
+            if os.fstat(fh.fileno()).st_size - len(head) != size:
+                return {}
+            body = fh.read(size)
     except (OSError, ValueError):
         return {}
+    if len(body) != size:
+        return {}
+    pairs = np.frombuffer(body, dtype="<i8").reshape(-1, 2)
+    p, a = pairs[:, 0], pairs[:, 1]
+    if p.size and not (
+        5 <= p[0]
+        and p[-1] < _P_LIMIT
+        and bool(np.all(p[1:] > p[:-1]))
+        and -_TRACE_LIMIT < a.min()
+        and a.max() < _TRACE_LIMIT
+        and bool(np.all(a * a <= 4 * p))
+    ):
+        return {}
+    return dict(zip(p.tolist(), a.tolist()))
 
 
 def write_trace_cache(path: str, curve: CurveQ, traces: dict[int, int]) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    primes = sorted(traces)
+    pairs = np.empty((len(primes), 2), dtype="<i8")
+    pairs[:, 0] = primes
+    pairs[:, 1] = [traces[p] for p in primes]
     # a name of its own per writer, so concurrent writers never share a
     # half-written file; the last os.replace wins whole
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
-        with open(tmp, "x", encoding="ascii") as fh:
-            fh.write(f"#curve A={curve.A} B={curve.B}\n")
-            for p in sorted(traces):
-                fh.write(f"{p}\t{traces[p]}\n")
+        with open(tmp, "xb") as fh:
+            fh.write(_header(curve, len(primes)))
+            fh.write(pairs.tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

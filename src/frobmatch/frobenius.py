@@ -17,8 +17,9 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from itertools import filterfalse, product
-from typing import Callable, Iterable, Iterator
+from fractions import Fraction
+from itertools import islice, product
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -30,12 +31,16 @@ from frobmatch.arith import (
     squarefree_part,
 )
 from frobmatch.elliptic import CurveQ, ap_bsgs, ap_lanes
-from frobmatch.gl2 import class_ratio
+from frobmatch.gl2 import count_det_trace_formula, order_H_formula
 
 # A batch trace engine: (curve, primes) -> [a_p for p in primes].
 TraceEngine = Callable[[CurveQ, list[int]], list[int]]
 
 MATCH_CSV_COLUMNS = ["p", "a_p", "b_p", "D1", "D2", "matched"]
+# One match.csv row as csv.writer writes it: no field needs quoting.
+_MATCH_CSV_ROW = "%d,%d,%d,%d,%d,%s\r\n"
+# Rows per write: one write call per block, never the whole file as one string.
+_MATCH_CSV_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -76,14 +81,13 @@ def good_primes(x: int, *curves: CurveQ) -> tuple[list[int], list[int]]:
     """Primes p <= x split into (good for every curve, excluded); x >= 5."""
     if x < 5:
         raise ValueError(f"need x >= 5, got {x}")
-    primes = primes_in(0, x)
-    bad: set[int] = {2, 3}
+    col = np.array(primes_in(0, x), dtype=np.int64)
+    bad = col < 5
+    # Python-int remainders: 6*disc may be beyond int64
+    divisors = col.astype(object)
     for c in curves:
-        bad.update(filterfalse(c.is_good, primes))
-    good, skipped = [], []
-    for p in primes:
-        (skipped if p in bad else good).append(p)
-    return good, skipped
+        bad |= np.remainder(6 * c.discriminant, divisors) == 0
+    return col[~bad].tolist(), col[bad].tolist()
 
 
 def frobenius_field(curve: CurveQ, p: int, a_p: int | None = None) -> FrobeniusFieldTag:
@@ -164,6 +168,10 @@ def count_joint_traces(scan: PairScan, t1: int, t2: int) -> int:
 # Empirical residue-class frequencies mod q1*q2.
 
 
+def _units(n: int) -> list[int]:
+    return [d for d in range(n) if math.gcd(d, n) == 1]
+
+
 @dataclass
 class CheboTable:
     """counts[d][s][t] = #{p <= x good : p=d, a_p=s, b_p=t mod q1*q2}."""
@@ -184,15 +192,23 @@ class CheboTable:
     def cells(self) -> Iterator[tuple[int, int, int, int]]:
         """(d, s, t, count) for unit d and all s, t, in lexicographic order."""
         n = self.modulus
-        units = [d for d in range(n) if math.gcd(d, n) == 1]
-        for d, s, t in product(units, range(n), range(n)):
+        for d, s, t in product(_units(n), range(n), range(n)):
             yield d, s, t, self.counts[d][s][t]
 
     def predictions(self) -> list[float]:
-        """The class-ratio prediction (#C/#H) li(x) of each cell, in `cells` order."""
+        """The class-ratio prediction (#C/#H) li(x) of each cell, in `cells`
+        order: `gl2.class_ratio` with each matrix count computed once."""
         li_x = log_integral(self.x)
-        q1, q2 = self.q1, self.q2
-        return [float(class_ratio(q1, q2, d, s, t)) * li_x for d, s, t, _ in self.cells()]
+        q1, q2, n = self.q1, self.q2, self.modulus
+        order = order_H_formula(q1, q2)
+        count = {
+            (d, s): count_det_trace_formula(q1, q2, d, s)
+            for d, s in product(_units(n), range(n))
+        }
+        return [
+            float(Fraction(count[d, s] * count[d, t], order)) * li_x
+            for d, s, t, _ in self.cells()
+        ]
 
 
 def residue_modulus(q1: int, q2: int) -> int:
@@ -221,17 +237,27 @@ def chebotarev_deviation(table: CheboTable) -> tuple[float, tuple[int, int, int]
     return worst, (d, s, t)
 
 
+def _open_csv(path, header: list[str]) -> TextIO:
+    """`path` opened for writing with `header` written, creating the file's
+    directory if needed."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    fh = open(path, "w", newline="")
+    csv.writer(fh).writerow(header)
+    return fh
+
+
 def write_csv(path, header: list[str], rows: Iterable) -> None:
     """A header line and then `rows`, creating the file's directory if needed."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    with _open_csv(path, header) as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def write_match_csv(scan: PairScan, path) -> None:
-    """Deterministic CSV, one row per good prime in ascending order."""
+    """Deterministic CSV, one row per good prime in ascending order; the
+    bytes `write_csv` would write, formatted without csv.writer."""
     columns = (scan.p, scan.a_p, scan.b_p, scan.D1, scan.D2)
-    flags = ["true" if m else "false" for m in scan.matched.tolist()]
-    write_csv(path, MATCH_CSV_COLUMNS, zip(*(c.tolist() for c in columns), flags))
+    flags = np.where(scan.matched, "true", "false").tolist()
+    lines = map(_MATCH_CSV_ROW.__mod__, zip(*(c.tolist() for c in columns), flags))
+    with _open_csv(path, MATCH_CSV_COLUMNS) as fh:
+        while block := "".join(islice(lines, _MATCH_CSV_BLOCK)):
+            fh.write(block)

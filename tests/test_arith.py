@@ -41,6 +41,18 @@ class TestPrimes:
         lo, hi = (1 << 18) - 50, (1 << 18) + 2000
         assert primes_in(lo, hi) == [n for n in range(lo + 1, hi + 1) if _is_prime_trial(n)]
 
+    def test_every_small_range(self):
+        for hi in range(60):
+            for lo in range(hi + 1):
+                assert primes_in(lo, hi) == [n for n in range(lo + 1, hi + 1) if _is_prime_trial(n)]
+
+    def test_segments_join_without_gaps(self):
+        # three segments of the segmented sieve; the count is pi(800000) - pi(100000)
+        primes = primes_in(100_000, 800_000)
+        assert len(primes) == 63_951 - 9_592
+        assert primes[0] == 100_003 and primes[-1] == 799_999
+        assert all(type(p) is int for p in primes[:3])
+
     def test_prime_table(self):
         table = PrimeTable.up_to(100)
         assert len(table.primes) == 25

@@ -1,17 +1,22 @@
+import csv
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from frobmatch.arith import log_integral, primes_in
 from frobmatch.elliptic import CurveQ, ap_naive, quadratic_twist
 from frobmatch.frobenius import (
     CheboTable,
     FrobeniusFieldTag,
+    PairScan,
     chebotarev_deviation,
     chebotarev_empirical,
     count_fixed_field,
     count_fixed_trace,
     count_joint_traces,
+    MATCH_CSV_COLUMNS,
     frobenius_field,
     good_primes,
     product_is_square_check,
@@ -136,6 +141,30 @@ class TestScanPair:
     def test_monotone_in_x(self):
         counts = [scan_pair(E1, E2, x, naive_traces).match_count for x in (500, 1000, 2000)]
         assert counts == sorted(counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-(10**9), 10**9), st.integers(-(10**9), 10**9)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(5, 2000),
+    )
+    @example([(10**6, 1), (-(10**9), 7)], 2000)
+    def test_good_primes_equal_a_per_prime_split(self, coefficients, x):
+        assume(all(4 * a**3 + 27 * b**2 != 0 for a, b in coefficients))
+        curves = [CurveQ(a, b) for a, b in coefficients]
+        primes = primes_in(0, x)
+        good = [p for p in primes if p > 3 and all(c.is_good(p) for c in curves)]
+        assert good_primes(x, *curves) == (good, [p for p in primes if p not in good])
+
+    def test_good_primes_beyond_int64_discriminant(self):
+        e = CurveQ(10**6, 1)
+        assert abs(6 * e.discriminant) >= 1 << 63
+        good, skipped = good_primes(2000, e)
+        assert skipped == [p for p in primes_in(0, 2000) if p < 5 or not e.is_good(p)]
+        assert all(type(p) is int for p in good + skipped)
 
     def test_rejects_tiny_x(self):
         with pytest.raises(ValueError):
@@ -265,7 +294,35 @@ class TestChebotarev:
         assert sum(p == dev for p in empty.predictions()) > 1
 
 
+    @pytest.mark.parametrize("q1, q2", [(3, 5), (3, 7), (5, 7)])
+    def test_predictions_equal_a_class_ratio_loop(self, q1, q2):
+        n = q1 * q2
+        empty = CheboTable(q1, q2, 3000, [[[0] * n for _ in range(n)] for _ in range(n)], 0)
+        li_x = log_integral(empty.x)
+        expected = [float(class_ratio(q1, q2, d, s, t)) * li_x for d, s, t, _ in empty.cells()]
+        assert empty.predictions() == expected
+
+
 class TestMatchCsv:
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        scan = scan_pair(E1, E2, 3000, naive_traces)
+        assert scan.a_p.min() < 0 and scan.b_p.min() < 0 and 0 < scan.match_count < len(scan.p)
+        path = tmp_path / "m.csv"
+        write_match_csv(scan, path)
+        columns = (scan.p, scan.a_p, scan.b_p, scan.D1, scan.D2)
+        with open(tmp_path / "w.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(MATCH_CSV_COLUMNS)
+            for *row, m in zip(*(c.tolist() for c in columns), scan.matched.tolist()):
+                w.writerow(row + ["true" if m else "false"])
+        assert path.read_bytes() == (tmp_path / "w.csv").read_bytes()
+
+    def test_empty_scan_is_the_header(self, tmp_path):
+        scan = scan_pair(E1, E2, 3000, naive_traces)
+        columns = (c[:0] for c in (scan.p, scan.a_p, scan.b_p, scan.D1, scan.D2))
+        write_match_csv(PairScan(5, *columns, ()), tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == b"p,a_p,b_p,D1,D2,matched\r\n"
+
     def test_golden_and_deterministic(self, tmp_path):
         scan = scan_pair(E1, E2, 200, naive_traces)
         path1, path2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -64,12 +64,47 @@ def test_public_names_resolve():
     assert [n for n in frobmatch.__all__ if not hasattr(frobmatch, n)] == []
 
 
+def _raw_cache(path, header: bytes, pairs) -> None:
+    """A cache file written byte by byte: `header`, then (p, a) as little-endian int64."""
+    body = np.array(pairs, dtype="<i8").reshape(-1, 2).tobytes()
+    with open(path, "wb") as fh:
+        fh.write(header + body)
+
+
+def _header(curve, n, version=2):
+    return f"#frobmatch-traces {version} A={curve.A} B={curve.B} n={n}\n".encode()
+
+
 class TestCache:
     def test_roundtrip(self, tmp_path):
         path = cache_path(str(tmp_path), E1)
         traces = {p: ap_naive(E1, p) for p in (7, 13, 17)}
         write_trace_cache(path, E1, traces)
         assert read_trace_cache(path, E1) == traces
+
+    def test_roundtrip_empty_and_negative(self, tmp_path):
+        path = cache_path(str(tmp_path), E1)
+        write_trace_cache(path, E1, {})
+        assert read_trace_cache(path, E1) == {}
+        with open(path, "rb") as fh:
+            assert fh.read() == _header(E1, 0)
+        good, _ = good_primes(200, E1)
+        traces = dict(zip(good, naive_traces(E1, good)))
+        assert min(traces.values()) < 0
+        write_trace_cache(path, E1, traces)
+        loaded = read_trace_cache(path, E1)
+        assert loaded == traces and list(loaded) == sorted(traces)
+        assert all(type(k) is int and type(v) is int for k, v in loaded.items())
+
+    def test_file_layout(self, tmp_path):
+        path = cache_path(str(tmp_path), E1)
+        assert os.path.basename(path) == f"traces_A{E1.A}_B{E1.B}.i64"
+        write_trace_cache(path, E1, {13: -4, 7: 3})
+        with open(path, "rb") as fh:
+            data = fh.read()
+        head = _header(E1, 2)
+        assert data[: len(head)] == head and len(data) == len(head) + 32
+        assert np.frombuffer(data[len(head) :], dtype="<i8").tolist() == [7, 3, 13, -4]
 
     def test_header_mismatch_is_a_miss(self, tmp_path):
         path = cache_path(str(tmp_path), E1)
@@ -86,8 +121,73 @@ class TestCache:
         path.write_text(f"#curve A={E1.A} B={E1.B}\n13\t2\n7\t0\n")
         assert read_trace_cache(str(path), E1) == {}
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            _header(E1, 1, version=1),
+            _header(E1, 1, version=3),
+            _header(E2, 1),
+            _header(E1, 1).replace(b"n=1", b"n=01"),
+            _header(E1, 1).replace(b"n=1", b"n=+1"),
+            _header(E1, 1).replace(b"n=1", b"n=1 "),
+            _header(E1, 1)[:-1],
+            b"#frobmatch-traces 2 A=2 B=3\n",
+            f"#curve A={E1.A} B={E1.B}\n".encode(),  # the text format's header
+            b"",
+        ],
+    )
+    def test_wrong_header_is_a_miss(self, tmp_path, header):
+        path = tmp_path / "c.i64"
+        _raw_cache(path, _header(E1, 1), [7, 2])
+        assert read_trace_cache(str(path), E1) == {7: 2}
+        _raw_cache(path, header, [7, 2])
+        assert read_trace_cache(str(path), E1) == {}
+
+    @pytest.mark.parametrize("n, extra", [(2, b""), (1, b"\0"), (1, b"\0" * 17), (0, b"\n"), (3, b"")])
+    def test_body_of_the_wrong_length_is_a_miss(self, tmp_path, n, extra):
+        path = tmp_path / "c.i64"
+        _raw_cache(path, _header(E1, n), [])
+        with open(path, "ab") as fh:
+            fh.write(np.array([7, 2], dtype="<i8").tobytes() + extra)
+        assert read_trace_cache(str(path), E1) == {}
+
+    def test_huge_n_is_a_miss(self, tmp_path):
+        path = tmp_path / "c.i64"
+        _raw_cache(path, _header(E1, 10**19), [7, 2])
+        assert read_trace_cache(str(path), E1) == {}
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [13, 2, 7, 0],  # descending
+            [7, 2, 7, 2],  # repeated
+            [3, 0, 7, 2],  # p < 5
+            [-7, 0],
+            [7, 2, 1 << 61, 0],  # p >= 2^61
+            [7, 2, (1 << 61) + 1, 1],
+            [7, 6],  # a^2 > 4p
+            [7, -6],
+            [(1 << 60) + 1, 1 << 32],  # |a| >= 2^31, and a^2 wraps to 0 in int64
+            [(1 << 60) + 1, 1 << 31],
+            [(1 << 60) + 1, -(1 << 31)],
+            [(1 << 60) + 1, -(1 << 63)],
+        ],
+    )
+    def test_invalid_rows_are_a_miss(self, tmp_path, pairs):
+        path = tmp_path / "c.i64"
+        _raw_cache(path, _header(E1, len(pairs) // 2), pairs)
+        assert read_trace_cache(str(path), E1) == {}
+
+    def test_largest_valid_rows_load(self, tmp_path):
+        # the reader checks order and ranges, not primality
+        p, a = (1 << 61) - 1, (1 << 31) - 1
+        path = tmp_path / "c.i64"
+        _raw_cache(path, _header(E1, 2), [5, -4, p, -a])
+        assert read_trace_cache(str(path), E1) == {5: -4, p: -a}
+
     def test_missing_file_is_a_miss(self, tmp_path):
-        assert read_trace_cache(str(tmp_path / "nope.tsv"), E1) == {}
+        assert read_trace_cache(str(tmp_path / "nope.i64"), E1) == {}
+        assert read_trace_cache(str(tmp_path), E1) == {}
 
     def test_overlapping_writers_each_land_whole(self, tmp_path):
         # a second writer runs to completion while the first is mid-file
@@ -104,7 +204,7 @@ class TestCache:
 
         write_trace_cache(path, E1, Interrupting(first))
         assert read_trace_cache(path, E1) == first
-        assert [f.name for f in tmp_path.iterdir()] == [f"traces_A{E1.A}_B{E1.B}.tsv"]
+        assert [f.name for f in tmp_path.iterdir()] == [os.path.basename(cache_path(str(tmp_path), E1))]
 
 
 class TestComputeTraces:
@@ -182,12 +282,26 @@ class TestRunExperiment:
             ("t2-warm", 2, tmp_path / "cache-b"),
         ):
             out = tmp_path / name
-            cfg = parse_config(_config_text(3000, "1000, 3000", threads, cache))
+            text = _config_text(3000, "1000, 3000", threads, cache) + "q1 = 3\nq2 = 5\n"
+            cfg = parse_config(text)
             run_experiment(cfg, str(out))
             outs[name] = {
-                f: (out / f).read_bytes() for f in ("match.csv", "growth.csv", "sieve.csv")
+                f: (out / f).read_bytes()
+                for f in ("match.csv", "growth.csv", "sieve.csv", "residue.csv")
             }
         assert outs["t1-cold"] == outs["t2-cold"] == outs["t2-warm"]
+
+    def test_stale_text_cache_is_ignored_and_kept(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        stale = cache / f"traces_A{E1.A}_B{E1.B}.tsv"
+        stale.write_text(f"#curve A={E1.A} B={E1.B}\n7\t1\n")  # a wrong trace
+        scan = experiment.pair_scan(parse_config(_config_text(1500, "1500", 1, cache)))
+        assert scan.a_p.tolist() == naive_traces(E1, scan.p.tolist())
+        assert stale.read_text() == f"#curve A={E1.A} B={E1.B}\n7\t1\n"
+        assert read_trace_cache(cache_path(str(cache), E1), E1) == dict(
+            zip(scan.p.tolist(), scan.a_p.tolist())
+        )
 
     def test_warm_rerun_leaves_cache_files_alone(self, tmp_path):
         cache = tmp_path / "cache"
