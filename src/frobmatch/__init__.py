@@ -6,7 +6,6 @@ independent brute-force cross-checks, plus a CLI experiment harness.
 """
 
 from frobmatch.arith import (
-    PrimeTable,
     SquarefreeDecomposition,
     is_perfect_square,
     is_prime,
@@ -17,7 +16,7 @@ from frobmatch.arith import (
     squarefree_part,
 )
 from frobmatch.charsum import jacobi_sum, triple_sum, weil_sum_bruteforce, weil_sum_closed
-from frobmatch.elliptic import CurveQ, TraceRecord, ap_bsgs, ap_lanes, ap_naive, count_points
+from frobmatch.elliptic import CurveQ, ap_bsgs, ap_lanes, ap_naive, count_points
 from frobmatch.frobenius import (
     FrobeniusFieldTag,
     PairScan,
@@ -52,10 +51,8 @@ from frobmatch.sieve import (
 )
 
 __all__ = [
-    "PrimeTable",
     "SquarefreeDecomposition",
     "CurveQ",
-    "TraceRecord",
     "FrobeniusFieldTag",
     "Multiset",
     "PairScan",

@@ -39,18 +39,6 @@ _small_primes: list[int] = [2, 3, 5, 7, 11, 13]
 
 
 @dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to `limit`, ascending."""
-
-    limit: int
-    primes: tuple[int, ...]
-
-    @classmethod
-    def up_to(cls, limit: int) -> "PrimeTable":
-        return cls(limit, tuple(primes_in(0, limit)))
-
-
-@dataclass(frozen=True)
 class SquarefreeDecomposition:
     """n = D * m**2 with D squarefree."""
 

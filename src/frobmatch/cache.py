@@ -18,14 +18,13 @@ import uuid
 
 import numpy as np
 
-from frobmatch.elliptic import CurveQ
+from frobmatch.elliptic import TRACE_LIMIT, CurveQ
 
 VERSION = 2
 
 # A cached prime stays below 2^61, so 4p fits int64; a trace of size below
-# 2^31 has a square below 2^62, so a^2 <= 4p is exact in int64.
+# TRACE_LIMIT = 2^31 has a square below 2^62, so a^2 <= 4p is exact in int64.
 _P_LIMIT = 1 << 61
-_TRACE_LIMIT = 1 << 31
 _PAIR_BYTES = 16
 
 
@@ -63,8 +62,8 @@ def read_trace_cache(path: str, curve: CurveQ) -> dict[int, int]:
         5 <= p[0]
         and p[-1] < _P_LIMIT
         and bool(np.all(p[1:] > p[:-1]))
-        and -_TRACE_LIMIT < a.min()
-        and a.max() < _TRACE_LIMIT
+        and -TRACE_LIMIT < a.min()
+        and a.max() < TRACE_LIMIT
         and bool(np.all(a * a <= 4 * p))
     ):
         return {}

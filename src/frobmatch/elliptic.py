@@ -33,6 +33,10 @@ from frobmatch.arith import factorize, is_prime
 # point, and those primes take the direct sum.
 BSGS_MIN_PRIME = 457
 
+# Every trace at a prime p < 2^60 is below 2^31 in size, and so is its square
+# below 2^62: 4p - t^2 is then exact in int64.
+TRACE_LIMIT = 1 << 31
+
 
 @dataclass(frozen=True)
 class CurveQ:
@@ -59,17 +63,6 @@ class CurveQ:
 
     def label(self) -> str:
         return f"A={self.A} B={self.B}"
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    p: int
-    a_p: int
-
-    def __post_init__(self) -> None:
-        # Hasse: |a_p| <= 2 sqrt(p), strict for good p > 3
-        if self.a_p * self.a_p >= 4 * self.p:
-            raise ValueError(f"trace {self.a_p} out of range at p={self.p}")
 
 
 def _require_good(curve: CurveQ, p: int) -> None:

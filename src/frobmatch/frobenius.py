@@ -17,7 +17,6 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -30,7 +29,7 @@ from frobmatch.arith import (
     primes_in,
     squarefree_part,
 )
-from frobmatch.elliptic import CurveQ, ap_bsgs, ap_lanes
+from frobmatch.elliptic import TRACE_LIMIT, CurveQ, ap_bsgs, ap_lanes
 from frobmatch.gl2 import count_det_trace_formula, order_H_formula
 
 # A batch trace engine: (curve, primes) -> [a_p for p in primes].
@@ -112,16 +111,11 @@ def product_is_square_check(p: int, a: int, b: int) -> bool:
     return is_perfect_square(pair_product(p, a, b))
 
 
-# Every trace at a prime p < 2^60 is below 2^31 in size, and so is its square
-# below 2^62: 4p - t^2 is then exact in int64.
-_TRACE_LIMIT = 1 << 31
-
-
 def _trace_column(traces: list[int]) -> np.ndarray:
     """An engine's traces as int64; ValueError for a trace of size 2^31 or
     more, which breaks the Hasse bound at every p < 2^60."""
     col = np.array(traces)  # uint64 or object if a trace is beyond int64
-    if col.size and not -_TRACE_LIMIT < col.min() <= col.max() < _TRACE_LIMIT:
+    if col.size and not -TRACE_LIMIT < col.min() <= col.max() < TRACE_LIMIT:
         raise ValueError("traces violate the Hasse bound: a trace of size 2^31 or more")
     return col.astype(np.int64, copy=False)
 
@@ -205,8 +199,9 @@ class CheboTable:
             (d, s): count_det_trace_formula(q1, q2, d, s)
             for d, s in product(_units(n), range(n))
         }
+        # int / int is correctly rounded: the float of class_ratio's Fraction
         return [
-            float(Fraction(count[d, s] * count[d, t], order)) * li_x
+            count[d, s] * count[d, t] / order * li_x
             for d, s, t, _ in self.cells()
         ]
 

@@ -60,13 +60,25 @@ class SievePrimeSet:
         return len(self.primes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Multiset:
-    elements: tuple[int, ...]
+    """The sieve's multiset A as one 1-D column: int64 when every element is
+    below 2^63, an object array of Python ints otherwise.  An int64 array is
+    used as it is."""
+
+    elements: np.ndarray
 
     def __post_init__(self) -> None:
-        if any(e < 1 for e in self.elements):
-            raise ValueError("multiset elements must be positive integers")
+        col = self.elements
+        if not (isinstance(col, np.ndarray) and col.dtype == np.int64):
+            # exact Python ints first: np.asarray alone would store values in
+            # [2^63, 2^64) as uint64
+            col = np.asarray(col, dtype=object)
+            if col.max(initial=0) < 1 << 63:
+                col = col.astype(np.int64)
+            object.__setattr__(self, "elements", col)
+        if col.ndim != 1 or col.min(initial=1) < 1:
+            raise ValueError("multiset elements must be a column of positive integers")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -94,31 +106,38 @@ def build_prime_window(z: float) -> SievePrimeSet:
 
 
 def curve_pair_multiset(scan: PairScan, x: int) -> Multiset:
-    """Elements (4p - a_p^2)(4p - b_p^2) over the scanned primes p <= x."""
+    """Elements (4p - a_p^2)(4p - b_p^2) over the scanned primes p <= x.
+
+    Each factor lies in [1, 4x], so the products stay in int64 while
+    16x^2 < 2^63 (x <= 7.59e8); above that they are multiplied as Python ints.
+    """
     if x > scan.x:
         raise ValueError(f"the scan stops at x={scan.x}, below {x}")
     k = int(np.searchsorted(scan.p, x, side="right"))
-    columns = (scan.p[:k], scan.a_p[:k], scan.b_p[:k])
-    return Multiset(tuple(map(pair_product, *(c.tolist() for c in columns))))
+    p, a, b = scan.p[:k], scan.a_p[:k], scan.b_p[:k]
+    n1, n2 = 4 * p - a * a, 4 * p - b * b
+    if 16 * int(x) ** 2 < 1 << 63:  # int(x): a numpy x would wrap
+        return Multiset(n1 * n2)
+    return Multiset(n1.astype(object) * n2.astype(object))
 
 
 def square_count_exact(a: Multiset) -> int:
     """Perfect squares in the multiset, counted with multiplicity: one exact
     int64 root per element below COLUMN_LIMIT, `is_perfect_square` above."""
-    if max(a.elements, default=0) < COLUMN_LIMIT:
-        alphas = np.array(a.elements, dtype=np.int64)
+    alphas = a.elements
+    if alphas.max(initial=0) < COLUMN_LIMIT:
         return int(np.count_nonzero(isqrt_column(alphas) ** 2 == alphas))
-    return sum(1 for e in a.elements if is_perfect_square(e))
+    return sum(1 for e in alphas.tolist() if is_perfect_square(e))
 
 
 def _char_sums_over_pairs(a: Multiset, window: SievePrimeSet) -> list[int]:
     """inner sums sum_{n in A} (n/q1q2) over unordered window pairs."""
     out = []
-    qs = window.primes
+    qs, elements = window.primes, a.elements.tolist()
     for i in range(len(qs)):
         for j in range(i + 1, len(qs)):
             n = qs[i] * qs[j]
-            out.append(sum(jacobi_symbol(e, n) for e in a.elements))
+            out.append(sum(jacobi_symbol(e, n) for e in elements))
     return out
 
 
@@ -134,10 +153,7 @@ def _legendre_terms(a: Multiset, window: SievePrimeSet) -> tuple[list[int], np.n
     """(pair sums, omega): sum_alpha (alpha/q1q2) over unordered window pairs,
     in the order of `_char_sums_over_pairs`, and omega(alpha) per element,
     both from the Legendre matrix L[i, k] = (alpha_k/q_i)."""
-    qs = window.primes
-    # int64 elements while they fit, Python ints (an object array) above
-    dtype = np.int64 if max(a.elements, default=0) < 1 << 63 else object
-    alphas = np.array(a.elements, dtype=dtype)
+    qs, alphas = window.primes, a.elements
     tables = []  # chi[r] = (r/q) for r in [0, q)
     for q in qs:
         chi = np.full(q, -1, np.int8)
@@ -182,10 +198,10 @@ def sieve_bound_v1(a: Multiset, window: SievePrimeSet) -> SieveReport:
     p_count = window.P
     if p_count == 0:
         raise ValueError("empty prime window")
-    if a.elements and p_count < 710 and max(a.elements) > math.exp(p_count):
-        raise ValueError(
-            f"max element {max(a.elements)} exceeds e^P with P={p_count}; enlarge z"
-        )
+    # a Python int: an int64 compared with the float e^P would be rounded
+    top = int(a.elements.max(initial=0))
+    if p_count < 710 and top > math.exp(p_count):
+        raise ValueError(f"max element {top} exceeds e^P with P={p_count}; enlarge z")
     # both orderings of each pair contribute the same |inner sum|
     sums, _ = _legendre_terms(a, window)
     return _report(1, a, window, 2.0 * sum(abs(s) for s in sums) / p_count**2)

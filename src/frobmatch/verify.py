@@ -136,7 +136,7 @@ def verify_sieve() -> tuple[bool, str]:
         rep = sieve_bound_v2(a, window)  # raises if the inequality fails
         v2_ok = v2_ok and rep.exact_square_count <= rep.bound_total
         sums, omega = _legendre_terms(a, window)
-        by_division = [sum(e % q == 0 for q in window.primes) for e in a.elements]
+        by_division = [sum(e % q == 0 for q in window.primes) for e in a.elements.tolist()]
         matrix_ok = (
             matrix_ok
             and sums == _char_sums_over_pairs(a, window)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from frobmatch.arith import (
     COLUMN_LIMIT,
-    PrimeTable,
     is_perfect_square,
     is_prime,
     isqrt_column,
@@ -52,12 +51,6 @@ class TestPrimes:
         assert len(primes) == 63_951 - 9_592
         assert primes[0] == 100_003 and primes[-1] == 799_999
         assert all(type(p) is int for p in primes[:3])
-
-    def test_prime_table(self):
-        table = PrimeTable.up_to(100)
-        assert len(table.primes) == 25
-        assert list(table.primes) == sorted(table.primes)
-        assert all(_is_prime_trial(p) for p in table.primes)
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from frobmatch.arith import primes_in
 from frobmatch.elliptic import (
     BSGS_MIN_PRIME,
     CurveQ,
-    TraceRecord,
     ap_bsgs,
     ap_naive,
     count_points,
@@ -141,13 +140,6 @@ class TestApBsgs:
             assert ap_naive(e, p) == 0
         for p in (5, 13, 1009):
             assert ap_bsgs(e, p) == ap_naive(e, p)
-
-
-class TestTraceRecord:
-    def test_accepts_and_rejects_by_hasse(self):
-        TraceRecord(7, -4)
-        with pytest.raises(ValueError):
-            TraceRecord(7, 6)  # 36 > 28
 
 
 class TestTwist:

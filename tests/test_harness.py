@@ -265,7 +265,7 @@ class TestGrowthSeries:
             assert row.s_equal_fields == sub.match_count
             assert row.s_joint_00 == count_joint_traces(sub, 0, 0)
             multiset = curve_pair_multiset(scan, row.x)
-            assert multiset.elements == curve_pair_multiset(sub, row.x).elements
+            assert np.array_equal(multiset.elements, curve_pair_multiset(sub, row.x).elements)
             prefix = PairScan(row.x, *(c[: row.pi_good] for c in columns), sub.excluded)
             table = chebotarev_empirical(prefix, 3, 5)
             assert table.counts == chebotarev_empirical(sub, 3, 5).counts

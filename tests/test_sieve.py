@@ -1,13 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobmatch.arith import jacobi_symbol, log_integral, primes_in
+from frobmatch.arith import is_prime, jacobi_symbol, log_integral, primes_in
 from frobmatch.elliptic import CurveQ
-from frobmatch.frobenius import good_primes, scan_pair
+from frobmatch.frobenius import PairScan, good_primes, scan_pair
 from frobmatch.sieve import (
     _GRAM_BLOCK,
     Multiset,
@@ -72,10 +73,51 @@ class TestPrimeWindow:
             assert abs(w.P - expected) <= 0.25 * expected
 
 
+def _synthetic_scan(x: int) -> PairScan:
+    """Three primes up to the largest prime <= x, with traces inside the
+    Hasse bound; the D columns are not read by the multiset."""
+    top = next(n for n in range(x, 0, -1) if is_prime(n))
+    p = np.array([5, 7, top], dtype=np.int64)
+    a, b = np.array([1, -3, 0]), np.array([2, 5, 1])
+    return PairScan(x, p, a, b, np.ones(3, np.int64), np.ones(3, np.int64), ())
+
+
 class TestMultiset:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Multiset((1, 0, 3))
+        with pytest.raises(ValueError):
+            Multiset(np.array([4, -1], dtype=np.int64))
+        with pytest.raises(ValueError):
+            Multiset(np.ones((2, 2), dtype=np.int64))
+
+    def test_int64_column_is_used_as_it_is(self):
+        col = np.array([1, 4, 9], dtype=np.int64)
+        assert Multiset(col).elements is col
+
+    def test_uint64_range_is_an_object_column(self):
+        # np.asarray alone would store 2^63 as uint64
+        a = Multiset((3, 2**63))
+        assert a.elements.dtype == object
+        assert a.elements.tolist() == [3, 2**63]
+        assert all(type(e) is int for e in a.elements)
+        assert Multiset((3, 2**63 - 1)).elements.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "x, dtype", [(8 * 10**8, object), (75 * 10**7, np.int64)], ids=["object", "int64"]
+    )
+    def test_pair_products_near_the_int64_limit(self, x, dtype):
+        scan = _synthetic_scan(x)
+        a = curve_pair_multiset(scan, x)
+        assert a.elements.dtype == dtype
+        exact = [
+            (4 * p - s * s) * (4 * p - t * t)
+            for p, s, t in zip(scan.p.tolist(), scan.a_p.tolist(), scan.b_p.tolist())
+        ]
+        assert a.elements.tolist() == exact
+        assert (max(exact) >= 2**63) == (dtype is object)
+        # the guard squares x as a Python int, also when x is an int64
+        assert curve_pair_multiset(scan, np.int64(x)).elements.dtype == dtype
 
     def test_curve_pair_elements(self, demo_traces_1e4):
         x = 10_000
@@ -83,7 +125,8 @@ class TestMultiset:
         a = curve_pair_multiset(scan, x)
         assert len(a) == len(scan.p)
         columns = (scan.p, scan.a_p, scan.b_p, scan.matched)
-        for elem, (p, a_p, b_p, matched) in zip(a.elements, zip(*(c.tolist() for c in columns))):
+        assert a.elements.dtype == np.int64
+        for elem, (p, a_p, b_p, matched) in zip(a.elements.tolist(), zip(*(c.tolist() for c in columns))):
             assert elem == (4 * p - a_p**2) * (4 * p - b_p**2)
             assert (math.isqrt(elem) ** 2 == elem) == matched
             assert elem <= 16 * x * x
@@ -189,16 +232,16 @@ def _literal_terms(a: Multiset, w: SievePrimeSet) -> tuple[float, dict]:
     """(v1 term_char, v2 report fields) from a literal jacobi_symbol loop over
     unordered window pairs and omega counted by divisibility, with the float
     expressions of sieve_bound_v1/v2."""
-    qs, p_count = w.primes, w.P
+    qs, p_count, elements = w.primes, w.P, a.elements.tolist()
     sums = [
-        sum(jacobi_symbol(e, q1 * q2) for e in a.elements)
+        sum(jacobi_symbol(e, q1 * q2) for e in elements)
         for i, q1 in enumerate(qs)
         for q2 in qs[i + 1 :]
     ]
-    omega = [sum(1 for q in qs if e % q == 0) for e in a.elements]
+    omega = [sum(1 for q in qs if e % q == 0) for e in elements]
     v1_char = 2.0 * sum(abs(s) for s in sums) / p_count**2
     v2 = {
-        "exact_square_count": sum(1 for e in a.elements if math.isqrt(e) ** 2 == e),
+        "exact_square_count": sum(1 for e in elements if math.isqrt(e) ** 2 == e),
         "term_char": float(max((abs(s) for s in sums), default=0)),
         "term_linear": 2.0 * sum(omega) / p_count,
         "term_quadratic": sum(k * k for k in omega) / p_count**2,
@@ -248,6 +291,7 @@ class TestLegendreMatrixExact:
         w = build_prime_window(z)
         a = _mixed_multiset(w, cap, seed=z)
         assert (max(a.elements) >= 2**63) == (cap > 2**63 - 1)
+        assert (a.elements.dtype == np.int64) == (cap < 2**63)
         _, expected = _literal_terms(a, w)
         assert _v2_fields(sieve_bound_v2(a, w)) == expected
 
