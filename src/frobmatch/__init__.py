@@ -16,7 +16,7 @@ from frobmatch.arith import (
     squarefree_part,
 )
 from frobmatch.charsum import jacobi_sum, triple_sum, weil_sum_bruteforce, weil_sum_closed
-from frobmatch.elliptic import CurveQ, ap_bsgs, ap_lanes, ap_naive, count_points
+from frobmatch.elliptic import CurveQ, ap_bsgs, ap_lanes, ap_naive, ap_stream, count_points
 from frobmatch.frobenius import (
     FrobeniusFieldTag,
     PairScan,
@@ -61,6 +61,7 @@ __all__ = [
     "ap_bsgs",
     "ap_lanes",
     "ap_naive",
+    "ap_stream",
     "build_prime_window",
     "chebotarev_empirical",
     "choose_z_grh",

@@ -57,6 +57,14 @@ def _int_field(section: str, key: str, raw: str) -> int:
         raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
 
 
+def _default_threads() -> int:
+    """The CPUs this process may run on; os.cpu_count() where the platform
+    has no affinity call, which also counts CPUs the process may not use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def parse_config(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser(strict=True, interpolation=None)
     try:
@@ -126,7 +134,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if (q1 is None) != (q2 is None):
         raise ConfigError("q1 and q2 must be given together")
 
-    threads = _int_field("experiment", "threads", exp["threads"]) if "threads" in exp else (os.cpu_count() or 1)
+    threads = _int_field("experiment", "threads", exp["threads"]) if "threads" in exp else _default_threads()
     if threads < 1:
         raise ConfigError(f"threads must be positive, got {threads}")
 

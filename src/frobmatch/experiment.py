@@ -2,11 +2,13 @@
 series against the bound shapes, sieve reports per checkpoint, and CSV/SVG
 artifacts.
 
-Work units are fixed-size blocks of primes handed to a process pool (the
-trace kernel runs Python between its many small numpy calls, so threads
-would contend for the interpreter lock);
-results are merged in block order, so output is a function of the config
-alone, independent of worker count and cache state.
+The primes missing from either curve's trace cache go through the lane
+kernel as one stream of (prime, curve) lanes.  With more than one worker
+they are cut into at most that many segments of about equal work, handed to
+one process pool (the kernel runs Python between its many numpy calls, so
+threads would contend for the interpreter lock); results are merged in
+segment order, so output is a function of the config alone, independent of
+worker count and cache state.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
 from frobmatch.cache import cache_path, read_trace_cache, write_trace_cache
 from frobmatch.config import ExperimentConfig
 # nothing here calls ap_bsgs; the binding stays for perfbench's tracer, which wraps it
-from frobmatch.elliptic import CurveQ, ap_bsgs, ap_lanes  # noqa: F401
+from frobmatch.elliptic import CurveQ, ap_bsgs, ap_stream  # noqa: F401
 from frobmatch.frobenius import (
     PairScan,
     chebotarev_empirical,
@@ -44,7 +47,10 @@ from frobmatch.sieve import (
 )
 from frobmatch.svgplot import render_loglog_svg
 
-WORK_UNIT_PRIMES = 10_000
+# The fewest primes a segment gets: each one costs a worker process and ends
+# in a partial kernel batch.  On a 2-core VM two workers break even with one
+# at about 2,000 primes of a pair, and save 10% at 4,200 and 35% at 7,800.
+SEGMENT_MIN_PRIMES = 2048
 
 
 @dataclass(frozen=True)
@@ -61,47 +67,82 @@ class GrowthRow:
 GROWTH_CSV_COLUMNS = [f.name for f in fields(GrowthRow)]
 
 
+def _segments(primes: list[int], k: int) -> list[list[int]]:
+    """`primes` cut into at most k runs of about equal kernel work (a lane's
+    tables grow like p^(1/4)), each of at least SEGMENT_MIN_PRIMES primes
+    unless there is only one."""
+    k = max(1, min(k, len(primes) // SEGMENT_MIN_PRIMES))
+    if k == 1:
+        return [primes]
+    work = np.cumsum(np.array(primes, dtype=np.float64) ** 0.25)
+    cuts = np.searchsorted(work, work[-1] * np.arange(1, k) / k).tolist()
+    return [primes[i:j] for i, j in zip([0] + cuts, cuts + [len(primes)])]
+
+
 def compute_traces(
-    curve: CurveQ,
+    curves: Sequence[CurveQ],
     primes: list[int],
     threads: int = 1,
-    cached: dict[int, int] | None = None,
-) -> dict[int, int]:
-    """{p: a_p} for every listed good prime, reusing `cached` entries; at
-    most one worker process per block of missing primes."""
-    traces = dict(cached or {})
-    missing = [p for p in primes if p not in traces]
-    unit = WORK_UNIT_PRIMES
-    blocks = [missing[i : i + unit] for i in range(0, len(missing), unit)]
-    trace_block = functools.partial(ap_lanes, curve)
-    if threads > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
-            results = list(pool.map(trace_block, blocks))
+    cached: Sequence[dict[int, int]] | None = None,
+) -> list[dict[int, int]]:
+    """[{p: a_p} for each curve] over every listed good prime, reusing the
+    `cached` tables, one per curve.  The primes missing from any table go to
+    `ap_stream` with the curves whose tables miss some, as one stream or as
+    at most `threads` segments in one process pool; a fully cached call
+    starts neither."""
+    tables = [dict(d) for d in cached] if cached else [{} for _ in curves]
+    gaps = [[p for p in primes if p not in t] for t in tables]
+    todo = [k for k, gap in enumerate(gaps) if gap]
+    if not todo:
+        return tables
+    missing = gaps[todo[0]]
+    if any(gaps[k] != missing for k in todo):
+        union = set().union(*gaps)
+        missing = [p for p in primes if p in union]
+    segments = _segments(missing, threads)
+    trace_segment = functools.partial(ap_stream, [curves[k] for k in todo])
+    if len(segments) > 1:
+        with ProcessPoolExecutor(max_workers=len(segments)) as pool:
+            results = list(pool.map(trace_segment, segments))
     else:
-        results = map(trace_block, blocks)
-    for blk, vals in zip(blocks, results):
-        traces.update(zip(blk, vals))
-    return traces
+        results = map(trace_segment, segments)
+    for segment, rows in zip(segments, results):
+        for k, row in zip(todo, rows):
+            tables[k].update(zip(segment, row))
+    return tables
 
 
-def _cached_traces(cfg: ExperimentConfig, curve: CurveQ, good: list[int]) -> list[int]:
-    """[a_p for p in good] by compute_traces, through the curve's cache file
-    if one is configured; the file is rewritten only when traces were added."""
+def _cached_traces(cfg: ExperimentConfig, good: list[int]) -> list[list[int]]:
+    """[[a_p for p in good] for each curve of the pair] by one compute_traces
+    call, through the curves' cache files if a cache is configured; a file
+    is rewritten only when traces were added to it."""
+    curves = (cfg.curve1, cfg.curve2)
     if cfg.cache_dir is None:
-        traces = compute_traces(curve, good, cfg.threads)
+        tables = compute_traces(curves, good, cfg.threads)
     else:
         os.makedirs(cfg.cache_dir, exist_ok=True)  # an unusable dir fails before trace work
-        path = cache_path(cfg.cache_dir, curve)
-        cached = read_trace_cache(path, curve)
-        traces = compute_traces(curve, good, cfg.threads, cached)
-        if len(traces) > len(cached):
-            write_trace_cache(path, curve, traces)
-    return [traces[p] for p in good]
+        paths = [cache_path(cfg.cache_dir, c) for c in curves]
+        cached = [read_trace_cache(path, c) for path, c in zip(paths, curves)]
+        tables = compute_traces(curves, good, cfg.threads, cached)
+        for path, curve, old, new in zip(paths, curves, cached, tables):
+            if len(new) > len(old):
+                write_trace_cache(path, curve, new)
+    return [[t[p] for p in good] for t in tables]
 
 
 def pair_scan(cfg: ExperimentConfig) -> PairScan:
-    """The configured pair's PairScan at x_max, traces cached and parallel."""
-    return scan_pair(cfg.curve1, cfg.curve2, cfg.x_max, functools.partial(_cached_traces, cfg))
+    """The configured pair's PairScan at x_max, traces cached and parallel.
+    `scan_pair` asks for each curve's traces on the same primes in turn; the
+    first ask computes both curves' in one `_cached_traces` call."""
+    curves = (cfg.curve1, cfg.curve2)
+    tables: list[list[int]] = []
+
+    def engine(curve: CurveQ, good: list[int]) -> list[int]:
+        if not tables:
+            tables.extend(_cached_traces(cfg, good))
+        return tables[curves.index(curve)]
+
+    return scan_pair(*curves, cfg.x_max, engine)
 
 
 def checkpoint_z(cfg: ExperimentConfig, x: int) -> float:

@@ -5,7 +5,8 @@ Suites
   gl2       matrix counts, group order, partition identity
   charsum   complete sums, Jacobi sums, triple-sum path agreement
   elliptic  trace formula vs point enumeration, the lane kernel (the one
-            trace engine) vs exact sum
+            trace engine) vs exact sum, per curve and as one stream of
+            every test curve
   sieve     square detection (int64 roots vs math.isqrt, up to and past
             2^53), the squarefree column vs scalar trial division,
             version-2 inequality, Legendre-matrix terms vs the jacobi_symbol
@@ -28,7 +29,7 @@ from frobmatch.charsum import (
     jacobi_symbol,
     triple_sum,
 )
-from frobmatch.elliptic import CurveQ, ap_lanes, ap_naive
+from frobmatch.elliptic import CurveQ, ap_lanes, ap_naive, ap_stream
 from frobmatch.frobenius import scan_pair, write_csv
 from frobmatch.gl2 import (
     GL2_CSV_COLUMNS,
@@ -109,21 +110,28 @@ def verify_charsum(out_dir: str | None = None) -> tuple[bool, str]:
 
 def verify_elliptic(p_max_naive: int = 1000, p_max_lanes: int = 10_000) -> tuple[bool, str]:
     """ap_naive against point enumeration below p_max_naive; the trace
-    engine ap_lanes, one batch per curve, against ap_naive below p_max_lanes."""
-    mism_enum = mism_lanes = 0
+    engine ap_lanes, one stream per curve, and ap_stream, one stream of every
+    curve on their common good primes, against ap_naive below p_max_lanes."""
+    mism_enum = mism_lanes = mism_stream = 0
     checked = 0
+    naive = []
     for curve in TEST_CURVES:
         good = [p for p in primes_in(3, p_max_lanes) if curve.is_good(p)]
         checked += len(good)
+        naive.append(dict(zip(good, (ap_naive(curve, p) for p in good))))
         for p, lane in zip(good, ap_lanes(curve, good)):
-            a = ap_naive(curve, p)
+            a = naive[-1][p]
             if p < p_max_naive and a != p + 1 - count_points_enumeration(curve, p):
                 mism_enum += 1
             mism_lanes += lane != a
-    ok = mism_enum == mism_lanes == 0
+    common = [p for p in primes_in(3, p_max_lanes) if all(c.is_good(p) for c in TEST_CURVES)]
+    for table, row in zip(naive, ap_stream(list(TEST_CURVES), common)):
+        mism_stream += sum(table[p] != t for p, t in zip(common, row))
+    ok = mism_enum == mism_lanes == mism_stream == 0
     return ok, (
         f"elliptic: {checked} traces over {len(TEST_CURVES)} curves; "
-        f"enumeration mismatches: {mism_enum}; lane-kernel mismatches: {mism_lanes}"
+        f"enumeration mismatches: {mism_enum}; lane-kernel mismatches: {mism_lanes}; "
+        f"{len(common) * len(TEST_CURVES)} stream traces, mismatches: {mism_stream}"
     )
 
 

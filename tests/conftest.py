@@ -1,5 +1,6 @@
 import pytest
 
+from frobmatch import experiment
 from frobmatch.elliptic import CurveQ, ap_naive
 from frobmatch.frobenius import scan_pair
 
@@ -17,3 +18,26 @@ def demo_traces_1e4():
     """PairScan of the demo pair up to 10^4, traces from the default engine
     (`ap_lanes`)."""
     return scan_pair(DEMO1, DEMO2, 10_000)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The worker count of every pool `experiment` opens, in order: a
+    stand-in executor maps in this process, so no process starts."""
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    return opened

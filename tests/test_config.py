@@ -31,7 +31,7 @@ class TestParseConfig:
         assert cfg.z_policy == "grh"
         assert cfg.q1 is None and cfg.q2 is None
         assert cfg.cache_dir is None
-        assert cfg.threads == (os.cpu_count() or 1)
+        assert cfg.threads == len(os.sched_getaffinity(0))
 
     def test_full_config(self):
         cfg = parse_config(

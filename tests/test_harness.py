@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import math
 import os
 import subprocess
 import sys
@@ -209,49 +208,68 @@ class TestCache:
 
 class TestComputeTraces:
     def test_pool_matches_inline(self, monkeypatch):
-        good, _ = good_primes(4000, E1)
-        inline = compute_traces(E1, good, threads=1)
-        monkeypatch.setattr(experiment, "WORK_UNIT_PRIMES", 100)
-        pooled = compute_traces(E1, good, threads=2)
+        good, _ = good_primes(4000, E1, E2)
+        inline = compute_traces([E1, E2], good, threads=1)
+        monkeypatch.setattr(experiment, "SEGMENT_MIN_PRIMES", 100)
+        pooled = compute_traces([E1, E2], good, threads=2)
         assert inline == pooled
-        assert set(inline) == set(good)
+        assert set(inline[0]) == set(inline[1]) == set(good)
 
-    def test_pool_is_capped_at_the_number_of_blocks(self, monkeypatch):
-        # a fake executor records the worker count, so no process starts
-        opened = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(experiment, "WORK_UNIT_PRIMES", 100)
+    def test_pool_is_capped_at_the_number_of_blocks(self, monkeypatch, recording_pool):
+        # one pool per call, with a worker per segment: at most `threads`
+        # segments of at least SEGMENT_MIN_PRIMES primes each
+        monkeypatch.setattr(experiment, "SEGMENT_MIN_PRIMES", 50)
         good, _ = good_primes(2000, E1)
-        blocks = math.ceil(len(good) / 100)
-        assert blocks > 2
-        traces = compute_traces(E1, good, threads=100_000)
+        segments = len(good) // 50
+        assert segments > 2
+        [traces] = compute_traces([E1], good, threads=100_000)
         assert traces == dict(zip(good, naive_traces(E1, good)))
-        compute_traces(E1, good, threads=2)
-        assert opened == [blocks, 2]
+        compute_traces([E1], good, threads=2)
+        assert recording_pool == [segments, 2]
 
     def test_cache_reuse_skips_work(self):
         good, _ = good_primes(1000, E1)
-        full = compute_traces(E1, good)
+        [full] = compute_traces([E1], good)
         # poison a fake cache entry to prove cached values are trusted as-is
         poisoned = dict(full)
         poisoned[good[0]] = 1
-        again = compute_traces(E1, good, cached=poisoned)
+        [again] = compute_traces([E1], good, cached=[poisoned])
         assert again[good[0]] == 1
         assert all(again[p] == full[p] for p in good[1:])
+
+    def test_a_fully_cached_curve_stays_out_of_the_stream(self, monkeypatch):
+        streams = []
+        real = experiment.ap_stream
+        monkeypatch.setattr(experiment, "ap_stream", lambda c, p: streams.append((c, p)) or real(c, p))
+        good, _ = good_primes(1000, E1, E2)
+        [full1] = compute_traces([E1], good)
+        poisoned = dict(full1)
+        poisoned[good[0]] = 1
+        streams.clear()
+        traces = compute_traces([E1, E2], good, cached=[poisoned, {p: 0 for p in good[:5]}])
+        assert streams == [([E2], good[5:])]
+        assert traces[0] == poisoned
+        expected = dict(zip(good, naive_traces(E2, good)))
+        expected.update((p, 0) for p in good[:5])
+        assert traces[1] == expected
+
+    def test_experiment_opens_one_pool_only_on_a_cold_cache(self, tmp_path, monkeypatch, recording_pool):
+        monkeypatch.setattr(experiment, "SEGMENT_MIN_PRIMES", 100)
+        traced = []
+        real = experiment.compute_traces
+        monkeypatch.setattr(experiment, "compute_traces", lambda *a: traced.append(a[0]) or real(*a))
+        cache = tmp_path / "cache"
+        cold = parse_config(_config_text(3000, "3000", 2, cache_dir=str(cache)))
+        run_experiment(cold, str(tmp_path / "cold"))
+        assert recording_pool == [2] and traced == [(E1, E2)]
+        run_experiment(cold, str(tmp_path / "warm"))  # every trace cached
+        serial = parse_config(_config_text(3000, "3000", 1, cache_dir=str(tmp_path / "other")))
+        run_experiment(serial, str(tmp_path / "serial"))
+        assert recording_pool == [2] and len(traced) == 3
+        for name in ("warm", "serial"):
+            for artifact in ("match.csv", "growth.csv", "sieve.csv"):
+                cold_bytes = (tmp_path / "cold" / artifact).read_bytes()
+                assert (tmp_path / name / artifact).read_bytes() == cold_bytes
 
 
 class TestGrowthSeries:
@@ -359,6 +377,13 @@ class TestVerificationGates:
         assert ok
         ok, _ = verify.verify_elliptic(p_max_naive=300, p_max_lanes=1000)
         assert ok
+
+    def test_elliptic_suite_catches_a_wrong_stream(self, monkeypatch):
+        real = verify.ap_stream
+        monkeypatch.setattr(verify, "ap_stream", lambda c, p: [row[:-1] + [row[-1] + 2] for row in real(c, p)])
+        ok, msg = verify.verify_elliptic(p_max_naive=300, p_max_lanes=1000)
+        assert not ok
+        assert msg.endswith("mismatches: 5")
 
     def test_report_into_a_new_nested_directory(self, tmp_path):
         out = tmp_path / "reports" / "gl2"
