@@ -19,6 +19,7 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from itertools import islice
 
 import numpy as np
 
@@ -188,6 +189,9 @@ def isqrt_column(n: np.ndarray) -> np.ndarray:
     return r
 
 
+_ODD_BITS = 0x2AAA_AAAA_AAAA_AAAA  # the bits 2^1, 2^3, ..., 2^61
+
+
 def _squarefree_column(n: np.ndarray) -> np.ndarray:
     # Every prime q <= cbrt(max) is divided out fully and kept once in D when
     # its exponent is odd.  The cofactor then has at most two prime factors,
@@ -195,13 +199,18 @@ def _squarefree_column(n: np.ndarray) -> np.ndarray:
     # unless it is a square.
     _check_column(n, 1)
     rest = n.astype(np.int64)  # a copy, divided in place
-    d = np.ones_like(rest)
+    # q = 2 in one pass: n & -n is 2^k, and k is odd when its bit is at an
+    # odd place (k <= 61 below COLUMN_LIMIT)
+    two_k = rest & -rest
+    rest //= two_k
+    d = 1 + ((two_k & _ODD_BITS) != 0).astype(np.int64)
+    del two_k
     top = int(rest.max(initial=1))
     lim = round(top ** (1 / 3))
     lim -= lim**3 > top
     lim += (lim + 1) ** 3 <= top
     r = np.empty_like(rest)  # one buffer for every remainder
-    for q in small_primes(lim):
+    for q in islice(small_primes(lim), 1, None):  # the odd primes
         if q > lim:
             break
         idx = np.flatnonzero(np.remainder(rest, q, out=r) == 0)

@@ -9,6 +9,9 @@ or version, a body of the wrong length, primes that are not strictly
 ascending in [5, 2^61), or a trace outside the Hasse bound counts as a miss
 and triggers recomputation, never silent reuse.  The plain-text `.tsv` files
 of version 1 have another name; they are ignored and left where they are.
+
+Traces pass through this module as a pair of int64 columns `(p, a_p)`, the
+file's body split in two; a miss is a pair of empty columns.
 """
 
 from __future__ import annotations
@@ -36,28 +39,33 @@ def _header(curve: CurveQ, n: int) -> bytes:
     return f"#frobmatch-traces {VERSION} A={curve.A} B={curve.B} n={n}\n".encode("ascii")
 
 
-def read_trace_cache(path: str, curve: CurveQ) -> dict[int, int]:
-    """Cached {p: a_p}, or {} when the file is absent, corrupt, of another
-    format version, or for a different curve."""
+def _miss() -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(0, np.int64), np.empty(0, np.int64)
+
+
+def read_trace_cache(path: str, curve: CurveQ) -> tuple[np.ndarray, np.ndarray]:
+    """The cached (p, a_p) int64 columns, or a pair of empty columns when the
+    file is absent, corrupt, of another format version, or for a different
+    curve."""
     try:
         with open(path, "rb") as fh:
             # n has at most 20 digits, so a longer first line is no header
             head = fh.readline(len(_header(curve, 0)) + 20)
             n_text = head.rpartition(b"n=")[2].rstrip(b"\n")
             if not n_text.isdigit() or head != _header(curve, int(n_text)):
-                return {}
+                return _miss()
             size = _PAIR_BYTES * int(n_text)
             # the length is checked before reading, so a corrupt n never
             # sizes a buffer
             if os.fstat(fh.fileno()).st_size - len(head) != size:
-                return {}
+                return _miss()
             body = fh.read(size)
     except (OSError, ValueError):
-        return {}
+        return _miss()
     if len(body) != size:
-        return {}
-    pairs = np.frombuffer(body, dtype="<i8").reshape(-1, 2)
-    p, a = pairs[:, 0], pairs[:, 1]
+        return _miss()
+    # one contiguous, writable native column each
+    p, a = np.frombuffer(body, dtype="<i8").reshape(-1, 2).T.astype(np.int64, order="C")
     if p.size and not (
         5 <= p[0]
         and p[-1] < _P_LIMIT
@@ -66,22 +74,22 @@ def read_trace_cache(path: str, curve: CurveQ) -> dict[int, int]:
         and a.max() < TRACE_LIMIT
         and bool(np.all(a * a <= 4 * p))
     ):
-        return {}
-    return dict(zip(p.tolist(), a.tolist()))
+        return _miss()
+    return p, a
 
 
-def write_trace_cache(path: str, curve: CurveQ, traces: dict[int, int]) -> None:
+def write_trace_cache(path: str, curve: CurveQ, p: np.ndarray, a: np.ndarray) -> None:
+    """Write the (p, a_p) columns, p ascending, as the curve's cache file."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    primes = sorted(traces)
-    pairs = np.empty((len(primes), 2), dtype="<i8")
-    pairs[:, 0] = primes
-    pairs[:, 1] = [traces[p] for p in primes]
+    pairs = np.empty((len(p), 2), dtype="<i8")
+    pairs[:, 0] = p
+    pairs[:, 1] = a
     # a name of its own per writer, so concurrent writers never share a
     # half-written file; the last os.replace wins whole
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "xb") as fh:
-            fh.write(_header(curve, len(primes)))
+            fh.write(_header(curve, len(p)))
             fh.write(pairs.tobytes())
         os.replace(tmp, path)
     except BaseException:

@@ -2,13 +2,15 @@
 series against the bound shapes, sieve reports per checkpoint, and CSV/SVG
 artifacts.
 
-The primes missing from either curve's trace cache go through the lane
-kernel as one stream of (prime, curve) lanes.  With more than one worker
-they are cut into at most that many segments of about equal work, handed to
-one process pool (the kernel runs Python between its many numpy calls, so
-threads would contend for the interpreter lock); results are merged in
-segment order, so output is a function of the config alone, independent of
-worker count and cache state.
+Traces travel as int64 columns: each curve's cache file is read as (p, a_p)
+columns, looked up by `searchsorted`, and handed to `scan_pair` as one trace
+column per curve.  The primes missing from either curve's columns go
+through the lane kernel as one stream of (prime, curve) lanes.  With more
+than one worker they are cut into at most that many segments of about equal
+work, handed to one process pool (the kernel runs Python between its many
+numpy calls, so threads would contend for the interpreter lock); results
+are merged in segment order, so output is a function of the config alone,
+independent of worker count and cache state.
 """
 
 from __future__ import annotations
@@ -79,26 +81,42 @@ def _segments(primes: list[int], k: int) -> list[list[int]]:
     return [primes[i:j] for i, j in zip([0] + cuts, cuts + [len(primes)])]
 
 
+def _find(cp: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, hit): where each value of `p` sorts into the non-empty ascending
+    column `cp`, and whether it is there."""
+    i = np.searchsorted(cp, p)
+    return i, cp.take(i, mode="clip") == p
+
+
 def compute_traces(
     curves: Sequence[CurveQ],
     primes: list[int],
     threads: int = 1,
-    cached: Sequence[dict[int, int]] | None = None,
-) -> list[dict[int, int]]:
-    """[{p: a_p} for each curve] over every listed good prime, reusing the
-    `cached` tables, one per curve.  The primes missing from any table go to
-    `ap_stream` with the curves whose tables miss some, as one stream or as
-    at most `threads` segments in one process pool; a fully cached call
-    starts neither."""
-    tables = [dict(d) for d in cached] if cached else [{} for _ in curves]
-    gaps = [[p for p in primes if p not in t] for t in tables]
-    todo = [k for k, gap in enumerate(gaps) if gap]
-    if not todo:
-        return tables
-    missing = gaps[todo[0]]
-    if any(gaps[k] != missing for k in todo):
-        union = set().union(*gaps)
-        missing = [p for p in primes if p in union]
+    cached: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> list[np.ndarray]:
+    """[a_p for p in primes] of each curve as int64 columns, reusing the
+    `cached` (p, a_p) columns, one pair per curve with p ascending.  The
+    primes missing from any curve's columns go to `ap_stream` with the curves
+    that miss some, as one stream or as at most `threads` segments in one
+    process pool; a fully cached call starts neither."""
+    traces = [np.empty(len(primes), np.int64) for _ in curves]
+    if cached and any(len(cp) for cp, _ in cached):
+        p = np.array(primes, dtype=np.int64)
+        gaps = []
+        for k, (cp, ca) in enumerate(cached):
+            hit = np.zeros(len(p), bool)
+            if len(cp):
+                i, hit = _find(cp, p)
+                traces[k] = ca.take(i, mode="clip")  # rows at a gap are recomputed below
+            gaps.append(~hit)
+        todo = [k for k, gap in enumerate(gaps) if gap.any()]
+        if not todo:
+            return traces
+        at = np.flatnonzero(np.logical_or.reduce([gaps[k] for k in todo]))
+        missing = p[at].tolist()
+    else:
+        # nothing cached: no alignment, every curve computes every prime
+        todo, at, missing = range(len(curves)), None, primes
     segments = _segments(missing, threads)
     trace_segment = functools.partial(ap_stream, [curves[k] for k in todo])
     if len(segments) > 1:
@@ -106,28 +124,45 @@ def compute_traces(
             results = list(pool.map(trace_segment, segments))
     else:
         results = map(trace_segment, segments)
+    end = 0
     for segment, rows in zip(segments, results):
+        start, end = end, end + len(segment)
+        rows_at = slice(start, end) if at is None else at[start:end]
         for k, row in zip(todo, rows):
-            tables[k].update(zip(segment, row))
-    return tables
+            traces[k][rows_at] = row
+    return traces
 
 
-def _cached_traces(cfg: ExperimentConfig, good: list[int]) -> list[list[int]]:
-    """[[a_p for p in good] for each curve of the pair] by one compute_traces
-    call, through the curves' cache files if a cache is configured; a file
-    is rewritten only when traces were added to it."""
+def _merged(cp: np.ndarray, ca: np.ndarray, p: np.ndarray, a: np.ndarray):
+    """The cached columns (cp, ca) with the rows of (p, a) they lack inserted
+    in order, or None when they lack none."""
+    if not len(cp):  # a cold cache: the new rows are the file
+        return (p, a) if len(p) else None
+    i, hit = _find(cp, p)
+    if hit.all():
+        return None
+    new = ~hit
+    return np.insert(cp, i[new], p[new]), np.insert(ca, i[new], a[new])
+
+
+def _cached_traces(cfg: ExperimentConfig, good: list[int]) -> list[np.ndarray]:
+    """[a_p for p in good] of each curve of the pair as int64 columns, by one
+    compute_traces call, through the curves' cache files if a cache is
+    configured; a file is rewritten only when its curve missed some prime,
+    with its old rows kept."""
     curves = (cfg.curve1, cfg.curve2)
     if cfg.cache_dir is None:
-        tables = compute_traces(curves, good, cfg.threads)
-    else:
-        os.makedirs(cfg.cache_dir, exist_ok=True)  # an unusable dir fails before trace work
-        paths = [cache_path(cfg.cache_dir, c) for c in curves]
-        cached = [read_trace_cache(path, c) for path, c in zip(paths, curves)]
-        tables = compute_traces(curves, good, cfg.threads, cached)
-        for path, curve, old, new in zip(paths, curves, cached, tables):
-            if len(new) > len(old):
-                write_trace_cache(path, curve, new)
-    return [[t[p] for p in good] for t in tables]
+        return compute_traces(curves, good, cfg.threads)
+    os.makedirs(cfg.cache_dir, exist_ok=True)  # an unusable dir fails before trace work
+    paths = [cache_path(cfg.cache_dir, c) for c in curves]
+    cached = [read_trace_cache(path, c) for path, c in zip(paths, curves)]
+    traces = compute_traces(curves, good, cfg.threads, cached)
+    p = np.array(good, dtype=np.int64)
+    for path, curve, (cp, ca), a in zip(paths, curves, cached, traces):
+        merged = _merged(cp, ca, p, a)
+        if merged is not None:
+            write_trace_cache(path, curve, *merged)
+    return traces
 
 
 def pair_scan(cfg: ExperimentConfig) -> PairScan:
@@ -135,9 +170,9 @@ def pair_scan(cfg: ExperimentConfig) -> PairScan:
     `scan_pair` asks for each curve's traces on the same primes in turn; the
     first ask computes both curves' in one `_cached_traces` call."""
     curves = (cfg.curve1, cfg.curve2)
-    tables: list[list[int]] = []
+    tables: list[np.ndarray] = []
 
-    def engine(curve: CurveQ, good: list[int]) -> list[int]:
+    def engine(curve: CurveQ, good: list[int]) -> np.ndarray:
         if not tables:
             tables.extend(_cached_traces(cfg, good))
         return tables[curves.index(curve)]

@@ -17,8 +17,8 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from itertools import islice, product
-from typing import Callable, Iterable, Iterator, TextIO
+from itertools import product
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -36,10 +36,12 @@ from frobmatch.gl2 import count_det_trace_formula, order_H_formula
 TraceEngine = Callable[[CurveQ, list[int]], list[int]]
 
 MATCH_CSV_COLUMNS = ["p", "a_p", "b_p", "D1", "D2", "matched"]
-# One match.csv row as csv.writer writes it: no field needs quoting.
-_MATCH_CSV_ROW = "%d,%d,%d,%d,%d,%s\r\n"
 # Rows per write: one write call per block, never the whole file as one string.
 _MATCH_CSV_BLOCK = 4096
+# The last cell of a match.csv row, by `not matched`, padded to one width,
+# and which of its bytes are written.
+_FLAG_BYTES = np.frombuffer(b"true\r\n\0false\r\n", np.uint8).reshape(2, 7)
+_FLAG_KEEP = _FLAG_BYTES != 0
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,12 @@ def good_primes(x: int, *curves: CurveQ) -> tuple[list[int], list[int]]:
         raise ValueError(f"need x >= 5, got {x}")
     col = np.array(primes_in(0, x), dtype=np.int64)
     bad = col < 5
-    # Python-int remainders: 6*disc may be beyond int64
-    divisors = col.astype(object)
     for c in curves:
-        bad |= np.remainder(6 * c.discriminant, divisors) == 0
+        m = 6 * c.discriminant
+        if abs(m) < 1 << 63:
+            bad |= np.remainder(np.int64(m), col) == 0
+        else:  # Python-int remainders beyond int64
+            bad |= np.remainder(m, col.astype(object)) == 0
     return col[~bad].tolist(), col[bad].tolist()
 
 
@@ -111,10 +115,10 @@ def product_is_square_check(p: int, a: int, b: int) -> bool:
     return is_perfect_square(pair_product(p, a, b))
 
 
-def _trace_column(traces: list[int]) -> np.ndarray:
+def _trace_column(traces: list[int] | np.ndarray) -> np.ndarray:
     """An engine's traces as int64; ValueError for a trace of size 2^31 or
     more, which breaks the Hasse bound at every p < 2^60."""
-    col = np.array(traces)  # uint64 or object if a trace is beyond int64
+    col = np.asarray(traces)  # uint64 or object if a trace is beyond int64
     if col.size and not -TRACE_LIMIT < col.min() <= col.max() < TRACE_LIMIT:
         raise ValueError("traces violate the Hasse bound: a trace of size 2^31 or more")
     return col.astype(np.int64, copy=False)
@@ -232,27 +236,45 @@ def chebotarev_deviation(table: CheboTable) -> tuple[float, tuple[int, int, int]
     return worst, (d, s, t)
 
 
-def _open_csv(path, header: list[str]) -> TextIO:
-    """`path` opened for writing with `header` written, creating the file's
-    directory if needed."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fh = open(path, "w", newline="")
-    csv.writer(fh).writerow(header)
-    return fh
-
-
 def write_csv(path, header: list[str], rows: Iterable) -> None:
     """A header line and then `rows`, creating the file's directory if needed."""
-    with _open_csv(path, header) as fh:
-        csv.writer(fh).writerows(rows)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _int_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each int64 of `v` as the text `str` gives it and a comma: a (len(v),
+    width) byte table of a sign cell, the digits right-aligned and the comma,
+    and the mask of the bytes that are written (no '+', no leading zeros)."""
+    m = np.abs(v).astype(np.uint64)  # exact for every int64, -2^63 too
+    width = len(str(int(m.max())))
+    chars = np.empty((len(v), width + 2), np.uint8)
+    keep = np.empty(chars.shape, bool)
+    chars[:, 0], keep[:, 0] = ord("-"), v < 0
+    chars[:, -1], keep[:, -1] = ord(","), True
+    for j in range(width, 0, -1):
+        keep[:, j] = m != 0
+        chars[:, j] = m % 10 + ord("0")
+        m //= 10
+    keep[:, width] = True  # zero is the one digit 0
+    return chars, keep
 
 
 def write_match_csv(scan: PairScan, path) -> None:
-    """Deterministic CSV, one row per good prime in ascending order; the
-    bytes `write_csv` would write, formatted without csv.writer."""
+    """Deterministic CSV, one row per good prime in ascending order: the
+    bytes `write_csv` would write, each block of rows formatted by numpy and
+    written in one call."""
     columns = (scan.p, scan.a_p, scan.b_p, scan.D1, scan.D2)
-    flags = np.where(scan.matched, "true", "false").tolist()
-    lines = map(_MATCH_CSV_ROW.__mod__, zip(*(c.tolist() for c in columns), flags))
-    with _open_csv(path, MATCH_CSV_COLUMNS) as fh:
-        while block := "".join(islice(lines, _MATCH_CSV_BLOCK)):
-            fh.write(block)
+    unmatched = (~scan.matched).view(np.uint8)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(",".join(MATCH_CSV_COLUMNS).encode("ascii") + b"\r\n")
+        for start in range(0, len(scan.p), _MATCH_CSV_BLOCK):
+            rows = slice(start, start + _MATCH_CSV_BLOCK)
+            cells = [_int_cells(c[rows]) for c in columns]
+            cells.append((_FLAG_BYTES[unmatched[rows]], _FLAG_KEEP[unmatched[rows]]))
+            chars, keep = (np.hstack(t) for t in zip(*cells))
+            fh.write(chars[keep].tobytes())

@@ -170,6 +170,14 @@ class TestSquarefreeColumn:
         assert squarefree_part(_column(values)).tolist() == ms + [q * q2, 1, q, 1]
         assert squarefree_part(_column(values)).tolist() == [squarefree_part(n) for n in values]
 
+    def test_powers_of_two_up_to_2_61(self):
+        # 2^k * m for every k that fits below COLUMN_LIMIT: the power of 2
+        # leaves in one pass, and is kept in D exactly when k is odd
+        ms = [1, 3, 9, 45, 1001, (1 << 20) + 7]
+        values = [m << k for k in range(62) for m in ms if m << k < COLUMN_LIMIT]
+        assert max(values).bit_length() == 62 and (1 << 61) in values
+        assert squarefree_part(_column(values)).tolist() == [_squarefree_sympy(n) for n in values]
+
     def test_squares_and_neighbours_near_2_52(self):
         k = math.isqrt(1 << 52)
         values = [r * r + d for r in (k - 1, k, k + 1) for d in (-1, 0, 1)]

@@ -1,6 +1,10 @@
 import csv
+import io
 import math
+import os
+import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -28,6 +32,17 @@ from conftest import naive_traces
 
 E1 = CurveQ(2, 3)
 E2 = CurveQ(5, 7)
+
+
+# int64 values, with the edges of the decimal formatter drawn often: 0,
+# 10^k - 1 and 10^k of either sign, and values near 2^62 and the int64 ends
+_INT64S = st.one_of(
+    st.sampled_from(
+        [s * (10**k + d) for k in range(1, 19) for d in (-1, 0) for s in (1, -1)]
+        + [0, 2**62 - 1, 2**62, 2**62 + 1, -(2**62), 2**63 - 1, -(2**63)]
+    ),
+    st.integers(-(2**63), 2**63 - 1),
+)
 
 
 def _squarefree_part_slow(n: int) -> int:
@@ -165,6 +180,23 @@ class TestScanPair:
         good, skipped = good_primes(2000, e)
         assert skipped == [p for p in primes_in(0, 2000) if p < 5 or not e.is_good(p)]
         assert all(type(p) is int for p in good + skipped)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_good_primes_at_the_int64_edge_of_6_disc(self, sign):
+        # the last A with |6 disc| < 2^63 takes int64 remainders, the next
+        # one Python ints; with either sign of disc, alone and together
+        big = lambda a: abs(6 * CurveQ(sign * a, 1).discriminant) >= 1 << 63
+        a = round(((1 << 63) / 384) ** (1 / 3))
+        while big(a):
+            a -= 1
+        while not big(a):
+            a += 1
+        below, above = CurveQ(sign * (a - 1), 1), CurveQ(sign * a, 1)
+        primes = primes_in(0, 3000)
+        for curves in ([below], [above], [below, above]):
+            good = [p for p in primes if p > 3 and all(c.is_good(p) for c in curves)]
+            assert good_primes(3000, *curves) == (good, [p for p in primes if p not in good])
+        assert len(good_primes(3000, below, above)[1]) > 2  # some p >= 5 is bad
 
     def test_rejects_tiny_x(self):
         with pytest.raises(ValueError):
@@ -316,6 +348,30 @@ class TestMatchCsv:
             for *row, m in zip(*(c.tolist() for c in columns), scan.matched.tolist()):
                 w.writerow(row + ["true" if m else "false"])
         assert path.read_bytes() == (tmp_path / "w.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(*[_INT64S] * 5, st.booleans()), min_size=1, max_size=30),
+        st.integers(0, 9000),
+    )
+    @example([(-1, 0, 9, 10, 10, True), (2**62, -(2**62) + 1, 99, -100, 7, False)], 4097)
+    def test_bytes_equal_csv_writer_on_any_int64_columns(self, rows, n):
+        # `rows` repeated to n rows, so blocks of 4096 fill and split; the
+        # flag copies D1 into D2, so both matched values occur
+        rows = (rows * (n // len(rows) + 1))[:n]
+        cols = np.array([r[:5] for r in rows], dtype=np.int64).reshape(-1, 5).T.copy()
+        cols[4] = np.where([r[5] for r in rows], cols[3], cols[4])
+        scan = PairScan(5, *cols, ())
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(MATCH_CSV_COLUMNS)
+        for *row, m in zip(*(c.tolist() for c in cols), scan.matched.tolist()):
+            w.writerow(row + ["true" if m else "false"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.csv")
+            write_match_csv(scan, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == expected.getvalue().encode("ascii")
 
     def test_empty_scan_is_the_header(self, tmp_path):
         scan = scan_pair(E1, E2, 3000, naive_traces)

@@ -74,31 +74,44 @@ def _header(curve, n, version=2):
     return f"#frobmatch-traces {version} A={curve.A} B={curve.B} n={n}\n".encode()
 
 
+def _rows(columns) -> list[tuple[int, int]]:
+    """The (p, a_p) rows of a pair of int64 columns of one length."""
+    p, a = columns
+    assert p.dtype == a.dtype == np.int64 and p.shape == a.shape and p.ndim == 1
+    return list(zip(p.tolist(), a.tolist()))
+
+
+def _columns(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(p, a_p) int64 columns of `rows`, ascending in p."""
+    pairs = np.array(sorted(rows), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0].copy(), pairs[:, 1].copy()
+
+
 class TestCache:
     def test_roundtrip(self, tmp_path):
         path = cache_path(str(tmp_path), E1)
-        traces = {p: ap_naive(E1, p) for p in (7, 13, 17)}
-        write_trace_cache(path, E1, traces)
-        assert read_trace_cache(path, E1) == traces
+        rows = [(p, ap_naive(E1, p)) for p in (7, 13, 17)]
+        write_trace_cache(path, E1, *_columns(rows))
+        assert _rows(read_trace_cache(path, E1)) == rows
 
     def test_roundtrip_empty_and_negative(self, tmp_path):
         path = cache_path(str(tmp_path), E1)
-        write_trace_cache(path, E1, {})
-        assert read_trace_cache(path, E1) == {}
+        write_trace_cache(path, E1, *_columns([]))
+        assert _rows(read_trace_cache(path, E1)) == []
         with open(path, "rb") as fh:
             assert fh.read() == _header(E1, 0)
         good, _ = good_primes(200, E1)
-        traces = dict(zip(good, naive_traces(E1, good)))
-        assert min(traces.values()) < 0
-        write_trace_cache(path, E1, traces)
-        loaded = read_trace_cache(path, E1)
-        assert loaded == traces and list(loaded) == sorted(traces)
-        assert all(type(k) is int and type(v) is int for k, v in loaded.items())
+        rows = list(zip(good, naive_traces(E1, good)))
+        assert min(a for _, a in rows) < 0
+        write_trace_cache(path, E1, *_columns(rows))
+        p, a = read_trace_cache(path, E1)
+        assert _rows((p, a)) == rows
+        assert p.flags.c_contiguous and a.flags.c_contiguous
 
     def test_file_layout(self, tmp_path):
         path = cache_path(str(tmp_path), E1)
         assert os.path.basename(path) == f"traces_A{E1.A}_B{E1.B}.i64"
-        write_trace_cache(path, E1, {13: -4, 7: 3})
+        write_trace_cache(path, E1, *_columns([(13, -4), (7, 3)]))
         with open(path, "rb") as fh:
             data = fh.read()
         head = _header(E1, 2)
@@ -107,18 +120,18 @@ class TestCache:
 
     def test_header_mismatch_is_a_miss(self, tmp_path):
         path = cache_path(str(tmp_path), E1)
-        write_trace_cache(path, E1, {7: ap_naive(E1, 7)})
-        assert read_trace_cache(path, E2) == {}
+        write_trace_cache(path, E1, *_columns([(7, ap_naive(E1, 7))]))
+        assert _rows(read_trace_cache(path, E2)) == []
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text(f"#curve A={E1.A} B={E1.B}\n7\tnot-a-number\n")
-        assert read_trace_cache(str(path), E1) == {}
+        assert _rows(read_trace_cache(str(path), E1)) == []
 
     def test_out_of_order_rows_are_a_miss(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text(f"#curve A={E1.A} B={E1.B}\n13\t2\n7\t0\n")
-        assert read_trace_cache(str(path), E1) == {}
+        assert _rows(read_trace_cache(str(path), E1)) == []
 
     @pytest.mark.parametrize(
         "header",
@@ -138,9 +151,9 @@ class TestCache:
     def test_wrong_header_is_a_miss(self, tmp_path, header):
         path = tmp_path / "c.i64"
         _raw_cache(path, _header(E1, 1), [7, 2])
-        assert read_trace_cache(str(path), E1) == {7: 2}
+        assert _rows(read_trace_cache(str(path), E1)) == [(7, 2)]
         _raw_cache(path, header, [7, 2])
-        assert read_trace_cache(str(path), E1) == {}
+        assert _rows(read_trace_cache(str(path), E1)) == []
 
     @pytest.mark.parametrize("n, extra", [(2, b""), (1, b"\0"), (1, b"\0" * 17), (0, b"\n"), (3, b"")])
     def test_body_of_the_wrong_length_is_a_miss(self, tmp_path, n, extra):
@@ -148,12 +161,12 @@ class TestCache:
         _raw_cache(path, _header(E1, n), [])
         with open(path, "ab") as fh:
             fh.write(np.array([7, 2], dtype="<i8").tobytes() + extra)
-        assert read_trace_cache(str(path), E1) == {}
+        assert _rows(read_trace_cache(str(path), E1)) == []
 
     def test_huge_n_is_a_miss(self, tmp_path):
         path = tmp_path / "c.i64"
         _raw_cache(path, _header(E1, 10**19), [7, 2])
-        assert read_trace_cache(str(path), E1) == {}
+        assert _rows(read_trace_cache(str(path), E1)) == []
 
     @pytest.mark.parametrize(
         "pairs",
@@ -175,35 +188,39 @@ class TestCache:
     def test_invalid_rows_are_a_miss(self, tmp_path, pairs):
         path = tmp_path / "c.i64"
         _raw_cache(path, _header(E1, len(pairs) // 2), pairs)
-        assert read_trace_cache(str(path), E1) == {}
+        assert _rows(read_trace_cache(str(path), E1)) == []
 
     def test_largest_valid_rows_load(self, tmp_path):
         # the reader checks order and ranges, not primality
         p, a = (1 << 61) - 1, (1 << 31) - 1
         path = tmp_path / "c.i64"
         _raw_cache(path, _header(E1, 2), [5, -4, p, -a])
-        assert read_trace_cache(str(path), E1) == {5: -4, p: -a}
+        assert _rows(read_trace_cache(str(path), E1)) == [(5, -4), (p, -a)]
 
     def test_missing_file_is_a_miss(self, tmp_path):
-        assert read_trace_cache(str(tmp_path / "nope.i64"), E1) == {}
-        assert read_trace_cache(str(tmp_path), E1) == {}
+        assert _rows(read_trace_cache(str(tmp_path / "nope.i64"), E1)) == []
+        assert _rows(read_trace_cache(str(tmp_path), E1)) == []
 
     def test_overlapping_writers_each_land_whole(self, tmp_path):
-        # a second writer runs to completion while the first is mid-file
+        # a second writer runs to completion while the first is mid-call
         path = cache_path(str(tmp_path), E1)
-        first = {p: ap_naive(E1, p) for p in (7, 13, 17)}
-        second = {7: first[7]}
+        first = [(p, ap_naive(E1, p)) for p in (7, 13, 17)]
+        second = first[:1]
+        p, a = _columns(first)
 
-        class Interrupting(dict):
-            def __getitem__(self, p):
-                if p == 13:
-                    write_trace_cache(path, E1, second)
-                    assert read_trace_cache(path, E1) == second
-                return super().__getitem__(p)
+        class Interrupting:
+            def __array__(self, dtype=None, copy=None):
+                write_trace_cache(path, E1, *_columns(second))
+                assert _rows(read_trace_cache(path, E1)) == second
+                return a
 
-        write_trace_cache(path, E1, Interrupting(first))
-        assert read_trace_cache(path, E1) == first
+        write_trace_cache(path, E1, p, Interrupting())
+        assert _rows(read_trace_cache(path, E1)) == first
         assert [f.name for f in tmp_path.iterdir()] == [os.path.basename(cache_path(str(tmp_path), E1))]
+
+
+def _traces(curve, primes) -> np.ndarray:
+    return np.array(naive_traces(curve, primes), dtype=np.int64)
 
 
 class TestComputeTraces:
@@ -212,8 +229,9 @@ class TestComputeTraces:
         inline = compute_traces([E1, E2], good, threads=1)
         monkeypatch.setattr(experiment, "SEGMENT_MIN_PRIMES", 100)
         pooled = compute_traces([E1, E2], good, threads=2)
-        assert inline == pooled
-        assert set(inline[0]) == set(inline[1]) == set(good)
+        assert all(c.dtype == np.int64 and len(c) == len(good) for c in inline + pooled)
+        assert np.array_equal(inline, pooled)
+        assert np.array_equal(inline, [_traces(E1, good), _traces(E2, good)])
 
     def test_pool_is_capped_at_the_number_of_blocks(self, monkeypatch, recording_pool):
         # one pool per call, with a worker per segment: at most `threads`
@@ -223,7 +241,7 @@ class TestComputeTraces:
         segments = len(good) // 50
         assert segments > 2
         [traces] = compute_traces([E1], good, threads=100_000)
-        assert traces == dict(zip(good, naive_traces(E1, good)))
+        assert traces.tolist() == naive_traces(E1, good)
         compute_traces([E1], good, threads=2)
         assert recording_pool == [segments, 2]
 
@@ -231,27 +249,41 @@ class TestComputeTraces:
         good, _ = good_primes(1000, E1)
         [full] = compute_traces([E1], good)
         # poison a fake cache entry to prove cached values are trusted as-is
-        poisoned = dict(full)
-        poisoned[good[0]] = 1
-        [again] = compute_traces([E1], good, cached=[poisoned])
-        assert again[good[0]] == 1
-        assert all(again[p] == full[p] for p in good[1:])
+        poisoned = full.copy()
+        poisoned[0] = 1
+        [again] = compute_traces([E1], good, cached=[(np.array(good), poisoned)])
+        assert again[0] == 1
+        assert np.array_equal(again[1:], full[1:])
+
+    def test_cached_rows_are_looked_up_by_prime(self, monkeypatch):
+        # cached columns that skip some primes and hold others beyond them
+        streams = []
+        real = experiment.ap_stream
+        monkeypatch.setattr(experiment, "ap_stream", lambda c, p: streams.append(p) or real(c, p))
+        good, _ = good_primes(2000, E1)
+        full = _traces(E1, good)
+        keep = np.arange(len(good)) % 3 != 1
+        cached = (np.array(good)[keep], full[keep])
+        [traces] = compute_traces([E1], good[:200], cached=[cached])
+        assert np.array_equal(traces, full[:200])
+        assert streams == [[p for p, k in zip(good[:200], keep) if not k]]
 
     def test_a_fully_cached_curve_stays_out_of_the_stream(self, monkeypatch):
         streams = []
         real = experiment.ap_stream
         monkeypatch.setattr(experiment, "ap_stream", lambda c, p: streams.append((c, p)) or real(c, p))
         good, _ = good_primes(1000, E1, E2)
+        p = np.array(good)
         [full1] = compute_traces([E1], good)
-        poisoned = dict(full1)
-        poisoned[good[0]] = 1
+        poisoned = full1.copy()
+        poisoned[0] = 1
         streams.clear()
-        traces = compute_traces([E1, E2], good, cached=[poisoned, {p: 0 for p in good[:5]}])
+        traces = compute_traces([E1, E2], good, cached=[(p, poisoned), (p[:5], np.zeros(5, np.int64))])
         assert streams == [([E2], good[5:])]
-        assert traces[0] == poisoned
-        expected = dict(zip(good, naive_traces(E2, good)))
-        expected.update((p, 0) for p in good[:5])
-        assert traces[1] == expected
+        assert np.array_equal(traces[0], poisoned)
+        expected = _traces(E2, good)
+        expected[:5] = 0
+        assert np.array_equal(traces[1], expected)
 
     def test_experiment_opens_one_pool_only_on_a_cold_cache(self, tmp_path, monkeypatch, recording_pool):
         monkeypatch.setattr(experiment, "SEGMENT_MIN_PRIMES", 100)
@@ -317,7 +349,7 @@ class TestRunExperiment:
         scan = experiment.pair_scan(parse_config(_config_text(1500, "1500", 1, cache)))
         assert scan.a_p.tolist() == naive_traces(E1, scan.p.tolist())
         assert stale.read_text() == f"#curve A={E1.A} B={E1.B}\n7\t1\n"
-        assert read_trace_cache(cache_path(str(cache), E1), E1) == dict(
+        assert _rows(read_trace_cache(cache_path(str(cache), E1), E1)) == list(
             zip(scan.p.tolist(), scan.a_p.tolist())
         )
 
@@ -331,7 +363,32 @@ class TestRunExperiment:
         # a wider x adds traces, so each file is rewritten with them
         experiment.pair_scan(parse_config(_config_text(2000, "2000", 1, cache)))
         good, _ = good_primes(2000, E1, E2)
-        assert all(set(read_trace_cache(f, c)) == set(good) for f, c in zip(paths, (E1, E2)))
+        assert all(read_trace_cache(f, c)[0].tolist() == good for f, c in zip(paths, (E1, E2)))
+
+    def test_warm_rerun_at_a_smaller_x_keeps_the_larger_cache(self, tmp_path):
+        cache = tmp_path / "cache"
+        experiment.pair_scan(parse_config(_config_text(2000, "2000", 1, cache)))
+        paths = [cache_path(str(cache), c) for c in (E1, E2)]
+        stats = [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in paths]
+        data = [open(f, "rb").read() for f in paths]
+        scan = experiment.pair_scan(parse_config(_config_text(1000, "1000", 1, cache)))
+        assert [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in paths] == stats
+        assert [open(f, "rb").read() for f in paths] == data
+        good, _ = good_primes(2000, E1, E2)
+        assert read_trace_cache(paths[0], E1)[0].tolist() == good
+        assert scan.a_p.tolist() == naive_traces(E1, good_primes(1000, E1, E2)[0])
+
+    def test_a_partial_cache_is_merged_and_rewritten(self, tmp_path):
+        cache = tmp_path / "cache"
+        path = cache_path(str(cache), E1)
+        good, _ = good_primes(2000, E1, E2)
+        # a cache of every other prime, with rows beyond x as well
+        rows = list(zip(good, naive_traces(E1, good)))
+        write_trace_cache(path, E1, *_columns(rows[::2]))
+        scan = experiment.pair_scan(parse_config(_config_text(1000, "1000", 1, cache)))
+        assert scan.a_p.tolist() == naive_traces(E1, scan.p.tolist())
+        n = len(scan.p)
+        assert _rows(read_trace_cache(path, E1)) == rows[:n] + rows[n:][(n % 2) :: 2]
 
     def test_artifacts_exist(self, tmp_path):
         cfg = parse_config(_config_text(1500, "1500", 1))
