@@ -16,7 +16,7 @@ from frobmatch.arith import (
     squarefree_part,
 )
 from frobmatch.charsum import jacobi_sum, triple_sum, weil_sum_bruteforce, weil_sum_closed
-from frobmatch.elliptic import CurveQ, ap_bsgs, ap_lanes, ap_naive, ap_stream, count_points
+from frobmatch.elliptic import CurveQ, ap_bsgs, ap_naive, ap_stream, count_points
 from frobmatch.frobenius import (
     FrobeniusFieldTag,
     PairScan,
@@ -59,7 +59,6 @@ __all__ = [
     "SievePrimeSet",
     "SieveReport",
     "ap_bsgs",
-    "ap_lanes",
     "ap_naive",
     "ap_stream",
     "build_prime_window",

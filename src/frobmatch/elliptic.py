@@ -9,9 +9,10 @@ Two routes are provided, an oracle and an engine that shares nothing with it:
   Cohen, A Course in Computational Algebraic Number Theory, Alg. 7.4.12),
   run in lockstep over a list of curves and a list of primes with one numpy
   lane per (prime, curve); the lanes it does not settle go to `ap_naive`.
+  It returns the (curves x primes) int64 trace table, the one trace-engine
+  shape of the package.
 
-`ap_lanes(curve, primes)` is `ap_stream` for one curve, and `ap_bsgs(curve,
-p)` its one-prime entry point.
+`ap_bsgs(curve, p)` is its checked one-prime entry point.
 
 The is-a-good-prime test uses the discriminant surrogate: bad primes are the
 primes dividing 6*disc, a finite superset of the primes of bad reduction.
@@ -435,9 +436,10 @@ def _lane_stream(curves: list[CurveQ], primes: list[int]) -> tuple[np.ndarray, n
     return traces, settled
 
 
-def ap_stream(curves: list[CurveQ], primes: list[int]) -> list[list[int]]:
-    """[[a_p for p in primes] for curve in curves], the values of `ap_naive`,
-    computed by `_lane_stream` with one numpy lane per (prime, curve).
+def ap_stream(curves: list[CurveQ], primes: list[int]) -> np.ndarray:
+    """The (len(curves), len(primes)) int64 table of `ap_naive`'s values,
+    row k holding curves[k]'s a_p at each prime, computed by `_lane_stream`
+    with one numpy lane per (prime, curve).
 
     The lanes are int64 when every prime is below LANE_MAX_PRIME and Python
     ints otherwise; the sampler hashes each prime as a uint64, so primes must
@@ -448,26 +450,19 @@ def ap_stream(curves: list[CurveQ], primes: list[int]) -> list[list[int]]:
     raises ValueError on most composites.
     """
     traces, settled = _lane_stream(curves, primes)
-    out = []
-    for k, curve in enumerate(curves):
-        row = traces[:, k].tolist()
-        for i in np.flatnonzero(~settled[:, k]).tolist():
-            row[i] = ap_naive(curve, primes[i])
-        out.append(row)
-    return out
-
-
-def ap_lanes(curve: CurveQ, primes: list[int]) -> list[int]:
-    """[a_p for p in primes]: `ap_stream` on one curve."""
-    return ap_stream([curve], primes)[0]
+    table = np.ascontiguousarray(traces.T)
+    ks, cols = np.nonzero(~settled.T)  # row-major: curve by curve, in prime order
+    for k, i in zip(ks.tolist(), cols.tolist()):
+        table[k, i] = ap_naive(curves[k], primes[i])
+    return table
 
 
 def ap_bsgs(curve: CurveQ, p: int) -> int:
-    """a_p at one good prime p: `ap_lanes` on a single lane, after checking
+    """a_p at one good prime p: `ap_stream` on a single lane, after checking
     that p is a good prime.  The sampled points depend on (A mod p, B mod p,
     p) alone, so repeated runs and parallel workers agree bit-for-bit."""
     _require_good(curve, p)
-    return ap_lanes(curve, [p])[0]
+    return int(ap_stream([curve], [p])[0, 0])
 
 
 def quadratic_twist(curve: CurveQ, d: int) -> CurveQ:

@@ -3,14 +3,14 @@ series against the bound shapes, sieve reports per checkpoint, and CSV/SVG
 artifacts.
 
 Traces travel as int64 columns: each curve's cache file is read as (p, a_p)
-columns, looked up by `searchsorted`, and handed to `scan_pair` as one trace
-column per curve.  The primes missing from either curve's columns go
-through the lane kernel as one stream of (prime, curve) lanes.  With more
-than one worker they are cut into at most that many segments of about equal
-work, handed to one process pool (the kernel runs Python between its many
-numpy calls, so threads would contend for the interpreter lock); results
-are merged in segment order, so output is a function of the config alone,
-independent of worker count and cache state.
+columns, looked up by `searchsorted`, and handed to `scan_pair` as one
+(curves x primes) int64 trace table.  The primes missing from either
+curve's columns go through the lane kernel as one stream of (prime, curve)
+lanes.  With more than one worker they are cut into at most that many
+segments of about equal work, handed to one process pool (the kernel runs
+Python between its many numpy calls, so threads would contend for the
+interpreter lock); results are merged in segment order, so output is a
+function of the config alone, independent of worker count and cache state.
 """
 
 from __future__ import annotations
@@ -93,13 +93,13 @@ def compute_traces(
     primes: list[int],
     threads: int = 1,
     cached: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> list[np.ndarray]:
-    """[a_p for p in primes] of each curve as int64 columns, reusing the
+) -> np.ndarray:
+    """The (len(curves), len(primes)) int64 table of a_p, reusing the
     `cached` (p, a_p) columns, one pair per curve with p ascending.  The
     primes missing from any curve's columns go to `ap_stream` with the curves
     that miss some, as one stream or as at most `threads` segments in one
     process pool; a fully cached call starts neither."""
-    traces = [np.empty(len(primes), np.int64) for _ in curves]
+    traces = np.empty((len(curves), len(primes)), np.int64)
     if cached and any(len(cp) for cp, _ in cached):
         p = np.array(primes, dtype=np.int64)
         gaps = []
@@ -125,11 +125,11 @@ def compute_traces(
     else:
         results = map(trace_segment, segments)
     end = 0
-    for segment, rows in zip(segments, results):
+    for segment, table in zip(segments, results):
         start, end = end, end + len(segment)
-        rows_at = slice(start, end) if at is None else at[start:end]
-        for k, row in zip(todo, rows):
-            traces[k][rows_at] = row
+        cols = slice(start, end) if at is None else at[start:end]
+        for k, row in zip(todo, table):
+            traces[k, cols] = row
     return traces
 
 
@@ -145,12 +145,11 @@ def _merged(cp: np.ndarray, ca: np.ndarray, p: np.ndarray, a: np.ndarray):
     return np.insert(cp, i[new], p[new]), np.insert(ca, i[new], a[new])
 
 
-def _cached_traces(cfg: ExperimentConfig, good: list[int]) -> list[np.ndarray]:
-    """[a_p for p in good] of each curve of the pair as int64 columns, by one
-    compute_traces call, through the curves' cache files if a cache is
-    configured; a file is rewritten only when its curve missed some prime,
-    with its old rows kept."""
-    curves = (cfg.curve1, cfg.curve2)
+def _cached_traces(cfg: ExperimentConfig, curves: Sequence[CurveQ], good: list[int]) -> np.ndarray:
+    """The (len(curves), len(good)) int64 trace table, by one compute_traces
+    call, through the curves' cache files if a cache is configured; a file
+    is rewritten only when its curve missed some prime, with its old rows
+    kept.  With `cfg` bound, a trace engine for `scan_pair`."""
     if cfg.cache_dir is None:
         return compute_traces(curves, good, cfg.threads)
     os.makedirs(cfg.cache_dir, exist_ok=True)  # an unusable dir fails before trace work
@@ -166,18 +165,9 @@ def _cached_traces(cfg: ExperimentConfig, good: list[int]) -> list[np.ndarray]:
 
 
 def pair_scan(cfg: ExperimentConfig) -> PairScan:
-    """The configured pair's PairScan at x_max, traces cached and parallel.
-    `scan_pair` asks for each curve's traces on the same primes in turn; the
-    first ask computes both curves' in one `_cached_traces` call."""
-    curves = (cfg.curve1, cfg.curve2)
-    tables: list[np.ndarray] = []
-
-    def engine(curve: CurveQ, good: list[int]) -> np.ndarray:
-        if not tables:
-            tables.extend(_cached_traces(cfg, good))
-        return tables[curves.index(curve)]
-
-    return scan_pair(*curves, cfg.x_max, engine)
+    """The configured pair's PairScan at x_max, traces cached and parallel."""
+    engine = functools.partial(_cached_traces, cfg)
+    return scan_pair(cfg.curve1, cfg.curve2, cfg.x_max, engine)
 
 
 def checkpoint_z(cfg: ExperimentConfig, x: int) -> float:

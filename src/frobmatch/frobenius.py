@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,11 +29,12 @@ from frobmatch.arith import (
     primes_in,
     squarefree_part,
 )
-from frobmatch.elliptic import TRACE_LIMIT, CurveQ, ap_bsgs, ap_lanes
+from frobmatch.elliptic import TRACE_LIMIT, CurveQ, ap_bsgs, ap_stream
 from frobmatch.gl2 import count_det_trace_formula, order_H_formula
 
-# A batch trace engine: (curve, primes) -> [a_p for p in primes].
-TraceEngine = Callable[[CurveQ, list[int]], list[int]]
+# A trace engine: (curves, primes) -> the (len(curves), len(primes)) table
+# of a_p, one row per curve, as `ap_stream` returns it.
+TraceEngine = Callable[[Sequence[CurveQ], list[int]], np.ndarray]
 
 MATCH_CSV_COLUMNS = ["p", "a_p", "b_p", "D1", "D2", "matched"]
 # Rows per write: one write call per block, never the whole file as one string.
@@ -115,46 +116,58 @@ def product_is_square_check(p: int, a: int, b: int) -> bool:
     return is_perfect_square(pair_product(p, a, b))
 
 
-def _trace_column(traces: list[int] | np.ndarray) -> np.ndarray:
-    """An engine's traces as int64; ValueError for a trace of size 2^31 or
-    more, which breaks the Hasse bound at every p < 2^60."""
-    col = np.asarray(traces)  # uint64 or object if a trace is beyond int64
-    if col.size and not -TRACE_LIMIT < col.min() <= col.max() < TRACE_LIMIT:
+def _trace_table(table: np.ndarray | list[list[int]], n_curves: int, n_primes: int) -> np.ndarray:
+    """An engine's trace table as int64; ValueError for a shape other than
+    (n_curves, n_primes), or for a trace of size 2^31 or more, which breaks
+    the Hasse bound at every p < 2^60."""
+    t = np.asarray(table)  # uint64 or object if a trace is beyond int64
+    if t.shape != (n_curves, n_primes):
+        raise ValueError(f"trace engine returned shape {t.shape}, expected {(n_curves, n_primes)}")
+    if t.size and not -TRACE_LIMIT < t.min() <= t.max() < TRACE_LIMIT:
         raise ValueError("traces violate the Hasse bound: a trace of size 2^31 or more")
-    return col.astype(np.int64, copy=False)
+    return t.astype(np.int64, copy=False)
 
 
-def scan_pair(e1: CurveQ, e2: CurveQ, x: int, engine: TraceEngine = ap_lanes) -> PairScan:
-    """The pair's columns over the common good primes p <= x; `engine` is
-    called once per curve on those primes."""
-    good, skipped = good_primes(x, e1, e2)
+def _engine_traces(
+    engine: TraceEngine, curves: Sequence[CurveQ], good: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, traces, norms) from one `engine` call on the good primes: p as
+    int64, the checked trace table, and its 4p - a_p^2, which the Hasse bound
+    makes positive (ValueError at the first prime where it is not)."""
     p = np.array(good, dtype=np.int64)
-    a, b = _trace_column(engine(e1, good)), _trace_column(engine(e2, good))
-    n1, n2 = 4 * p - a * a, 4 * p - b * b
-    outside = (n1 < 1) | (n2 < 1)
+    traces = _trace_table(engine(curves, good), len(curves), len(good))
+    norms = 4 * p - traces * traces
+    outside = (norms < 1).any(axis=0)
     if outside.any():
         i = int(np.argmax(outside))
-        raise ValueError(f"traces violate the Hasse bound at p={good[i]}: a={a[i]}, b={b[i]}")
-    d1 = squarefree_part(n1)
-    del n1  # frees its block before the second pass allocates
-    return PairScan(x, p, a, b, d1, squarefree_part(n2), tuple(skipped))
+        found = ", ".join(f"{c}={t}" for c, t in zip("ab", traces[:, i].tolist()))
+        raise ValueError(f"traces violate the Hasse bound at p={good[i]}: {found}")
+    return p, traces, norms
 
 
-def count_fixed_trace(e: CurveQ, t: int, x: int, engine: TraceEngine = ap_lanes) -> int:
+def scan_pair(e1: CurveQ, e2: CurveQ, x: int, engine: TraceEngine = ap_stream) -> PairScan:
+    """The pair's columns over the common good primes p <= x, from one
+    `engine` call on both curves."""
+    good, skipped = good_primes(x, e1, e2)
+    p, (a, b), (n1, n2) = _engine_traces(engine, (e1, e2), good)
+    return PairScan(x, p, a, b, squarefree_part(n1), squarefree_part(n2), tuple(skipped))
+
+
+def count_fixed_trace(e: CurveQ, t: int, x: int, engine: TraceEngine = ap_stream) -> int:
     """#{p <= x good : a_p = t}, traces from one `engine` call."""
     good, _ = good_primes(x, e)
-    return engine(e, good).count(t)
+    _, (a,), _ = _engine_traces(engine, (e,), good)
+    return int(np.count_nonzero(a == t))
 
 
-def count_fixed_field(e: CurveQ, d: int, x: int, engine: TraceEngine = ap_lanes) -> int:
+def count_fixed_field(e: CurveQ, d: int, x: int, engine: TraceEngine = ap_stream) -> int:
     """#{p <= x good : squarefree part of 4p - a_p^2 equals d}, traces from
     one `engine` call."""
     if d < 1 or squarefree_part(d) != d:
         raise ValueError(f"field selector must be squarefree >= 1, got {d}")
     good, _ = good_primes(x, e)
-    p = np.array(good, dtype=np.int64)
-    a = _trace_column(engine(e, good))
-    return int(np.count_nonzero(squarefree_part(4 * p - a * a) == d))
+    _, _, (n,) = _engine_traces(engine, (e,), good)
+    return int(np.count_nonzero(squarefree_part(n) == d))
 
 
 def count_joint_traces(scan: PairScan, t1: int, t2: int) -> int:

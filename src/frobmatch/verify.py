@@ -29,7 +29,7 @@ from frobmatch.charsum import (
     jacobi_symbol,
     triple_sum,
 )
-from frobmatch.elliptic import CurveQ, ap_lanes, ap_naive, ap_stream
+from frobmatch.elliptic import CurveQ, ap_naive, ap_stream
 from frobmatch.frobenius import scan_pair, write_csv
 from frobmatch.gl2 import (
     GL2_CSV_COLUMNS,
@@ -110,8 +110,8 @@ def verify_charsum(out_dir: str | None = None) -> tuple[bool, str]:
 
 def verify_elliptic(p_max_naive: int = 1000, p_max_lanes: int = 10_000) -> tuple[bool, str]:
     """ap_naive against point enumeration below p_max_naive; the trace
-    engine ap_lanes, one stream per curve, and ap_stream, one stream of every
-    curve on their common good primes, against ap_naive below p_max_lanes."""
+    engine ap_stream, one stream per curve and one stream of every curve on
+    their common good primes, against ap_naive below p_max_lanes."""
     mism_enum = mism_lanes = mism_stream = 0
     checked = 0
     naive = []
@@ -119,13 +119,13 @@ def verify_elliptic(p_max_naive: int = 1000, p_max_lanes: int = 10_000) -> tuple
         good = [p for p in primes_in(3, p_max_lanes) if curve.is_good(p)]
         checked += len(good)
         naive.append(dict(zip(good, (ap_naive(curve, p) for p in good))))
-        for p, lane in zip(good, ap_lanes(curve, good)):
+        for p, lane in zip(good, ap_stream([curve], good)[0].tolist()):
             a = naive[-1][p]
             if p < p_max_naive and a != p + 1 - count_points_enumeration(curve, p):
                 mism_enum += 1
             mism_lanes += lane != a
     common = [p for p in primes_in(3, p_max_lanes) if all(c.is_good(p) for c in TEST_CURVES)]
-    for table, row in zip(naive, ap_stream(list(TEST_CURVES), common)):
+    for table, row in zip(naive, ap_stream(list(TEST_CURVES), common).tolist()):
         mism_stream += sum(table[p] != t for p, t in zip(common, row))
     ok = mism_enum == mism_lanes == mism_stream == 0
     return ok, (

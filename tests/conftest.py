@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from frobmatch import experiment
@@ -8,15 +9,22 @@ DEMO1 = CurveQ(2, 3)
 DEMO2 = CurveQ(5, 7)
 
 
-def naive_traces(curve: CurveQ, primes: list[int]) -> list[int]:
-    """The batch trace engine of the oracle: ap_naive at every prime."""
+def naive_row(curve: CurveQ, primes: list[int]) -> list[int]:
+    """[ap_naive(curve, p) for p in primes]: one curve's oracle traces."""
     return [ap_naive(curve, p) for p in primes]
+
+
+def naive_traces(curves, primes: list[int]) -> np.ndarray:
+    """The trace engine of the oracle: the (len(curves), len(primes)) int64
+    table of ap_naive."""
+    rows = [naive_row(c, primes) for c in curves]
+    return np.array(rows, dtype=np.int64).reshape(len(curves), len(primes))
 
 
 @pytest.fixture(scope="session")
 def demo_traces_1e4():
     """PairScan of the demo pair up to 10^4, traces from the default engine
-    (`ap_lanes`)."""
+    (`ap_stream`)."""
     return scan_pair(DEMO1, DEMO2, 10_000)
 
 

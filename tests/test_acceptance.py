@@ -14,7 +14,7 @@ import pytest
 from frobmatch.arith import primes_in
 from frobmatch.charsum import charsum_verification_rows, jacobi_sum, jacobi_symbol, triple_sum
 from frobmatch.config import parse_config
-from frobmatch.elliptic import ap_lanes, ap_naive
+from frobmatch.elliptic import ap_naive, ap_stream
 from frobmatch.experiment import run_experiment
 from frobmatch.frobenius import product_is_square_check
 from frobmatch.gl2 import (
@@ -122,7 +122,7 @@ def test_criterion_4_trace_correctness():
     for curve in TEST_CURVES:
         good = [p for p in primes_in(3, 10_000) if curve.is_good(p)]
         n_traces += len(good)
-        for p, lane in zip(good, ap_lanes(curve, good)):
+        for p, lane in zip(good, ap_stream([curve], good)[0].tolist()):
             naive = ap_naive(curve, p)
             if naive * naive > 4 * p:
                 hasse_bad += 1

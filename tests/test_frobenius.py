@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -94,8 +95,8 @@ class TestScanPair:
             assert matched == product_is_square_check(p, a, b) == (d1 == d2)
 
     def test_rejects_engine_outside_hasse(self):
-        def beyond_hasse(curve, primes):
-            return [math.isqrt(4 * p) + 1 for p in primes]
+        def beyond_hasse(curves, primes):
+            return [[math.isqrt(4 * p) + 1 for p in primes] for _ in curves]
 
         first = good_primes(100, E1, E2)[0][0]
         with pytest.raises(ValueError, match=f"Hasse bound at p={first}:"):
@@ -103,13 +104,37 @@ class TestScanPair:
 
     @pytest.mark.parametrize("t", [1 << 31, -(1 << 31), 1 << 40, -(1 << 63), 1 << 64])
     def test_rejects_engine_traces_whose_square_overflows(self, t):
-        def huge(curve, primes):
-            return [t for _ in primes]
+        def huge(curves, primes):
+            return [[t for _ in primes] for _ in curves]
 
         with pytest.raises(ValueError, match="Hasse bound"):
             scan_pair(E1, E2, 100, huge)
         with pytest.raises(ValueError, match="Hasse bound"):
             count_fixed_field(E1, 3, 100, huge)
+
+    def test_calls_its_engine_once_with_both_curves(self):
+        calls = []
+
+        def engine(curves, primes):
+            calls.append((curves, primes))
+            return naive_traces(curves, primes)
+
+        scan = scan_pair(E1, E2, 500, engine)
+        assert calls == [((E1, E2), scan.p.tolist())]
+
+    @pytest.mark.parametrize(
+        "engine, shape",
+        [
+            (lambda curves, primes: naive_traces(curves[:1], primes)[0], "({n},)"),
+            (lambda curves, primes: naive_traces(curves, primes + [7]), "(2, {n1})"),
+        ],
+        ids=["one-row", "one-prime-too-many"],
+    )
+    def test_rejects_an_engine_table_of_the_wrong_shape(self, engine, shape):
+        n = len(good_primes(100, E1, E2)[0])
+        expected = re.escape(f"shape {shape.format(n=n, n1=n + 1)}, expected (2, {n})")
+        with pytest.raises(ValueError, match=expected):
+            scan_pair(E1, E2, 100, engine)
 
     def test_excluded_side_channel(self):
         scan = scan_pair(E1, E2, 100, naive_traces)
@@ -204,6 +229,14 @@ class TestScanPair:
 
 
 class TestCounters:
+    @pytest.mark.parametrize("t", [1 << 31, -(1 << 31)])
+    def test_fixed_trace_rejects_a_trace_of_size_2_31(self, t):
+        def huge(curves, primes):
+            return np.full((len(curves), len(primes)), t, np.int64)
+
+        with pytest.raises(ValueError, match="Hasse bound"):
+            count_fixed_trace(E1, 0, 100, huge)
+
     def test_fixed_trace_hasse_empty(self):
         assert count_fixed_trace(E1, 300, 2000, naive_traces) == 0  # 300^2 > 8000
 

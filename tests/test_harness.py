@@ -28,7 +28,7 @@ from frobmatch.frobenius import (
 )
 from frobmatch.sieve import curve_pair_multiset
 from frobmatch.svgplot import render_loglog_svg
-from conftest import naive_traces
+from conftest import naive_row, naive_traces
 
 E1 = CurveQ(2, 3)
 E2 = CurveQ(5, 7)
@@ -101,7 +101,7 @@ class TestCache:
         with open(path, "rb") as fh:
             assert fh.read() == _header(E1, 0)
         good, _ = good_primes(200, E1)
-        rows = list(zip(good, naive_traces(E1, good)))
+        rows = list(zip(good, naive_row(E1, good)))
         assert min(a for _, a in rows) < 0
         write_trace_cache(path, E1, *_columns(rows))
         p, a = read_trace_cache(path, E1)
@@ -220,7 +220,7 @@ class TestCache:
 
 
 def _traces(curve, primes) -> np.ndarray:
-    return np.array(naive_traces(curve, primes), dtype=np.int64)
+    return naive_traces([curve], primes)[0]
 
 
 class TestComputeTraces:
@@ -229,7 +229,8 @@ class TestComputeTraces:
         inline = compute_traces([E1, E2], good, threads=1)
         monkeypatch.setattr(experiment, "SEGMENT_MIN_PRIMES", 100)
         pooled = compute_traces([E1, E2], good, threads=2)
-        assert all(c.dtype == np.int64 and len(c) == len(good) for c in inline + pooled)
+        assert inline.dtype == pooled.dtype == np.int64
+        assert inline.shape == pooled.shape == (2, len(good))
         assert np.array_equal(inline, pooled)
         assert np.array_equal(inline, [_traces(E1, good), _traces(E2, good)])
 
@@ -241,7 +242,7 @@ class TestComputeTraces:
         segments = len(good) // 50
         assert segments > 2
         [traces] = compute_traces([E1], good, threads=100_000)
-        assert traces.tolist() == naive_traces(E1, good)
+        assert traces.tolist() == naive_row(E1, good)
         compute_traces([E1], good, threads=2)
         assert recording_pool == [segments, 2]
 
@@ -347,7 +348,7 @@ class TestRunExperiment:
         stale = cache / f"traces_A{E1.A}_B{E1.B}.tsv"
         stale.write_text(f"#curve A={E1.A} B={E1.B}\n7\t1\n")  # a wrong trace
         scan = experiment.pair_scan(parse_config(_config_text(1500, "1500", 1, cache)))
-        assert scan.a_p.tolist() == naive_traces(E1, scan.p.tolist())
+        assert scan.a_p.tolist() == naive_row(E1, scan.p.tolist())
         assert stale.read_text() == f"#curve A={E1.A} B={E1.B}\n7\t1\n"
         assert _rows(read_trace_cache(cache_path(str(cache), E1), E1)) == list(
             zip(scan.p.tolist(), scan.a_p.tolist())
@@ -376,17 +377,17 @@ class TestRunExperiment:
         assert [open(f, "rb").read() for f in paths] == data
         good, _ = good_primes(2000, E1, E2)
         assert read_trace_cache(paths[0], E1)[0].tolist() == good
-        assert scan.a_p.tolist() == naive_traces(E1, good_primes(1000, E1, E2)[0])
+        assert scan.a_p.tolist() == naive_row(E1, good_primes(1000, E1, E2)[0])
 
     def test_a_partial_cache_is_merged_and_rewritten(self, tmp_path):
         cache = tmp_path / "cache"
         path = cache_path(str(cache), E1)
         good, _ = good_primes(2000, E1, E2)
         # a cache of every other prime, with rows beyond x as well
-        rows = list(zip(good, naive_traces(E1, good)))
+        rows = list(zip(good, naive_row(E1, good)))
         write_trace_cache(path, E1, *_columns(rows[::2]))
         scan = experiment.pair_scan(parse_config(_config_text(1000, "1000", 1, cache)))
-        assert scan.a_p.tolist() == naive_traces(E1, scan.p.tolist())
+        assert scan.a_p.tolist() == naive_row(E1, scan.p.tolist())
         n = len(scan.p)
         assert _rows(read_trace_cache(path, E1)) == rows[:n] + rows[n:][(n % 2) :: 2]
 
@@ -437,7 +438,13 @@ class TestVerificationGates:
 
     def test_elliptic_suite_catches_a_wrong_stream(self, monkeypatch):
         real = verify.ap_stream
-        monkeypatch.setattr(verify, "ap_stream", lambda c, p: [row[:-1] + [row[-1] + 2] for row in real(c, p)])
+
+        def wrong(curves, primes):
+            table = real(curves, primes)
+            table[:, -1] += 2
+            return table
+
+        monkeypatch.setattr(verify, "ap_stream", wrong)
         ok, msg = verify.verify_elliptic(p_max_naive=300, p_max_lanes=1000)
         assert not ok
         assert msg.endswith("mismatches: 5")
@@ -708,3 +715,32 @@ def test_experiment_runs_without_scipy(tmp_path):
     child = _child(code, "--out", str(tmp_path / "o"), "experiment", str(cfg))
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "[]"
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_benchmark_tracer_reads_a_warm_experiment(tmp_path, monkeypatch, capsys):
+    # perfbench's tracer wraps compute_traces and tests `p in cached` for
+    # every prime it is given, so the primes must stay Python ints
+    monkeypatch.syspath_prepend(os.path.join(_ROOT, "perfbench"))
+    import tracer
+
+    cfg = tmp_path / "warm.cfg"
+    cfg.write_text(_config_text(3000, "3000", 1, cache_dir=str(tmp_path / "cache")))
+    argv = ["--out", str(tmp_path / "o"), "experiment", str(cfg)]
+    assert cli.main(argv) == 0  # cold: fills the cache
+    with tracer.Tracer() as tr:
+        code = cli.main(argv)
+    assert code == 0, capsys.readouterr().err
+    assert [s.name for s in tr.spans].count("experiment.compute_traces") == 1
+    assert tr.primes_requested == len(good_primes(3000, E1, E2)[0])
+
+
+def test_readme_library_snippet_runs(capsys):
+    with open(os.path.join(_ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Library use", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

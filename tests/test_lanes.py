@@ -1,7 +1,7 @@
-"""The lane kernel `ap_stream` and its one-curve case `ap_lanes` against
-`ap_naive` and a group-law certificate, its int64 limit and its Python-int
-lanes above it, its batching and segments and its `ap_naive` fallback; and
-the prime check of the one-prime entry points."""
+"""The lane kernel `ap_stream`, one curve or several, against `ap_naive` and
+a group-law certificate, the shape of its trace table, its int64 limit and
+its Python-int lanes above it, its batching and segments and its `ap_naive`
+fallback; and the prime check of the one-prime entry points."""
 
 import functools
 import math
@@ -12,7 +12,7 @@ import pytest
 
 from frobmatch import elliptic, experiment
 from frobmatch.arith import is_prime
-from frobmatch.elliptic import LANE_MAX_PRIME, CurveQ, ap_bsgs, ap_lanes, ap_naive, ap_stream
+from frobmatch.elliptic import LANE_MAX_PRIME, CurveQ, ap_bsgs, ap_naive, ap_stream
 from frobmatch.experiment import compute_traces
 from frobmatch.frobenius import good_primes
 from frobmatch.verify import TEST_CURVES
@@ -29,7 +29,7 @@ ABOVE_LIMIT = {3030000073: 43482, 3030000097: 14542, 3030000121: 646}
 
 @pytest.fixture
 def naive_calls(monkeypatch):
-    """The primes `ap_lanes` hands to its fallback `ap_naive`, in call order."""
+    """The primes `ap_stream` hands to its fallback `ap_naive`, in call order."""
     calls = []
     real = elliptic.ap_naive
 
@@ -123,32 +123,48 @@ class TestAgreement:
     @pytest.mark.parametrize("curve", TEST_CURVES, ids=lambda c: c.label())
     def test_equals_naive_on_every_good_prime_to_2e4(self, curve):
         naive = _naive_to_2e4(curve)
-        assert ap_lanes(curve, list(naive)) == list(naive.values())
+        assert ap_stream([curve], list(naive))[0].tolist() == list(naive.values())
 
     @pytest.mark.parametrize("pair", STREAM_PAIRS, ids=lambda p: f"{p[0].label()} / {p[1].label()}")
     def test_pair_stream_equals_naive_on_every_good_prime_to_2e4(self, pair):
         good, _ = good_primes(20_000, *pair)
-        assert ap_stream(list(pair), good) == [[_naive_to_2e4(c)[p] for p in good] for c in pair]
+        assert ap_stream(list(pair), good).tolist() == [[_naive_to_2e4(c)[p] for p in good] for c in pair]
 
     def test_equals_naive_on_two_seeded_primes_above_1e6(self):
         for seed, curve in enumerate(SAMPLE_CURVES):
             primes = _seeded_primes(curve, 10**6, 2, seed)
-            assert ap_lanes(curve, primes) == [ap_naive(curve, p) for p in primes]
+            assert ap_stream([curve], primes)[0].tolist() == [ap_naive(curve, p) for p in primes]
 
     @pytest.mark.parametrize("lo", [10**6, 10**7])
     def test_equals_bsgs_on_seeded_samples(self, lo, naive_calls):
         # ap_bsgs runs each prime on a lane of its own
         for seed, curve in enumerate(SAMPLE_CURVES):
             primes = _seeded_primes(curve, lo, 40, seed)
-            lanes = ap_lanes(curve, primes)
+            lanes = ap_stream([curve], primes)[0].tolist()
             assert naive_calls == []
             for p, t in zip(primes, lanes):
                 _assert_certified(curve, p, t)
             assert lanes == [ap_bsgs(curve, p) for p in primes]
 
     def test_values_are_python_ints(self):
-        assert all(type(t) is int for t in ap_lanes(CurveQ(2, 3), [7, 1009, 10007]))
-        assert all(type(t) is int for t in ap_lanes(CurveQ(2, 3), list(ABOVE_LIMIT)))
+        # the one-prime entry hands out Python ints, on int64 lanes and above them
+        assert all(type(ap_bsgs(CurveQ(2, 3), p)) is int for p in [7, 1009, 10007, *ABOVE_LIMIT])
+
+    @pytest.mark.parametrize(
+        "curves, primes",
+        [
+            ([CurveQ(2, 3)], []),
+            (list(TEST_CURVES), []),
+            ([CurveQ(2, 3)], [7, 1009, 10007]),
+            (list(STREAM_PAIRS[0]), [7, 1009, 10007]),
+            ([CurveQ(2, 3)], list(ABOVE_LIMIT)),
+        ],
+        ids=["one-curve-no-primes", "five-curves-no-primes", "one-curve", "pair", "python-int-lanes"],
+    )
+    def test_returns_a_c_contiguous_int64_table(self, curves, primes):
+        table = ap_stream(curves, primes)
+        assert table.dtype == np.int64 and table.shape == (len(curves), len(primes))
+        assert table.flags.c_contiguous
 
 
 class TestInt64Limit:
@@ -157,7 +173,7 @@ class TestInt64Limit:
         # unreduced product such as 2*Y*Z wraps and leaves the lane unresolved
         primes = [p for p in range(LANE_MAX_PRIME - 1, LANE_MAX_PRIME - 200, -1) if is_prime(p)][:3]
         curve = CurveQ(2, 3)
-        lanes = ap_lanes(curve, primes)
+        lanes = ap_stream([curve], primes)[0].tolist()
         assert naive_calls == []
         for p, t in zip(primes, lanes):
             _assert_certified(curve, p, t)
@@ -170,7 +186,7 @@ class TestInt64Limit:
         real = elliptic._lane_round
         monkeypatch.setattr(elliptic, "_lane_round", lambda p, *rest: rounds.append(p) or real(p, *rest))
         curve = CurveQ(2, 3)
-        lanes = ap_lanes(curve, primes)
+        lanes = ap_stream([curve], primes)[0].tolist()
         assert rounds[0].dtype == object and rounds[0].tolist() == primes
         assert naive_calls == []
         assert lanes == list(ABOVE_LIMIT.values())
@@ -194,7 +210,8 @@ class TestInt64Limit:
     def test_one_prime_above_the_limit_puts_every_lane_on_python_ints(self, naive_calls):
         curve = CurveQ(2, 3)
         small = [p for p in good_primes(3000, curve)[0] if p > elliptic.BSGS_MIN_PRIME]
-        assert ap_lanes(curve, small + [3030000073]) == ap_lanes(curve, small) + [43482]
+        above = ap_stream([curve], small + [3030000073])[0].tolist()
+        assert above == ap_stream([curve], small)[0].tolist() + [43482]
         assert naive_calls == []
 
 
@@ -202,17 +219,17 @@ class TestBatching:
     def test_same_traces_whatever_the_batch(self, monkeypatch):
         curve = CurveQ(0, 1)
         good, _ = good_primes(30_000, curve)
-        whole = ap_lanes(curve, good)
+        whole = ap_stream([curve], good)
         pair = [CurveQ(2, 3), CurveQ(1, 0)]
         pair_good, _ = good_primes(30_000, *pair)
         pair_whole = ap_stream(pair, pair_good)
-        assert pair_whole == [ap_lanes(c, pair_good) for c in pair]
+        assert np.array_equal(pair_whole, np.vstack([ap_stream([c], pair_good) for c in pair]))
         # a few lanes per call: the tables have 14 to 38 rows here
         monkeypatch.setattr(elliptic, "LANE_CELLS", 300)
-        assert ap_lanes(curve, good) == whole
-        assert ap_lanes(curve, good[::-1]) == whole[::-1]
-        assert ap_stream(pair, pair_good) == pair_whole
-        assert ap_stream(pair, pair_good[::-1]) == [row[::-1] for row in pair_whole]
+        assert np.array_equal(ap_stream([curve], good), whole)
+        assert np.array_equal(ap_stream([curve], good[::-1]), whole[:, ::-1])
+        assert np.array_equal(ap_stream(pair, pair_good), pair_whole)
+        assert np.array_equal(ap_stream(pair, pair_good[::-1]), pair_whole[:, ::-1])
 
     def test_calls_are_full_but_the_last(self, monkeypatch):
         # primes whose tables all have the same rows: every call holds as
@@ -222,7 +239,7 @@ class TestBatching:
         rows = elliptic._rows(math.isqrt(4 * 8000))
         good = [p for p in good_primes(10_000, *pair)[0] if elliptic._rows(math.isqrt(4 * p)) == rows]
         assert len(good) > 150
-        expected = [ap_lanes(c, good) for c in pair]
+        expected = np.vstack([ap_stream([c], good) for c in pair])
         lanes = []
         real = elliptic._lane_round
 
@@ -233,7 +250,7 @@ class TestBatching:
 
         monkeypatch.setattr(elliptic, "_lane_round", spy)
         monkeypatch.setattr(elliptic, "LANE_CELLS", 600)
-        assert ap_stream(pair, good) == expected
+        assert np.array_equal(ap_stream(pair, good), expected)
         full = 600 // rows
         tail = next(k for k, n in enumerate(lanes) if n < full)
         assert tail > 10 and lanes[:tail] == [full] * tail
@@ -255,7 +272,7 @@ class TestBatching:
         monkeypatch.setattr(elliptic, "_lane_round", spy)
         curve = CurveQ(-1, 0)
         good, _ = good_primes(200, curve)
-        assert ap_lanes(curve, good) == [ap_naive(curve, p) for p in good]
+        assert ap_stream([curve], good)[0].tolist() == [ap_naive(curve, p) for p in good]
         # carried lanes come first, and some settle on a later round
         assert any(rnd[0] > 0 and rnd[-1] == 0 for rnd, _ in rounds)
         assert any((resolved & (rnd > 0)).any() for rnd, resolved in rounds)
@@ -265,7 +282,7 @@ class TestBatching:
         curve = CurveQ(5, 7)
         good, _ = good_primes(20_000, curve)
         [traces] = compute_traces([curve], good)
-        assert traces.dtype == np.int64 and traces.tolist() == ap_lanes(curve, good)
+        assert traces.dtype == np.int64 and np.array_equal(traces, ap_stream([curve], good)[0])
         # only the primes at or below BSGS_MIN_PRIME went to the fallback
         assert all(p <= elliptic.BSGS_MIN_PRIME for p in naive_calls)
 
@@ -302,17 +319,17 @@ class TestFallback:
         monkeypatch.setattr(elliptic, "BSGS_MIN_PRIME", 3)
         curve = CurveQ(-1, 0)
         good, _ = good_primes(200, curve)
-        assert ap_lanes(curve, good) == [ap_naive(curve, p) for p in good]
+        assert ap_stream([curve], good)[0].tolist() == [ap_naive(curve, p) for p in good]
         assert 0 < len(naive_calls) < len(good)
 
     def test_bad_prime_raises(self):
         # 1009 divides the discriminant -16 * 27 * 1009^2
         with pytest.raises(ValueError, match="p=1009 is a bad prime"):
-            ap_lanes(CurveQ(0, 1009), [1013, 1009])
+            ap_stream([CurveQ(0, 1009)], [1013, 1009])
 
     def test_composite_raises(self):
         with pytest.raises(ValueError, match="p=1001 is not prime"):
-            ap_lanes(CurveQ(0, 1), [1009, 1001])
+            ap_stream([CurveQ(0, 1)], [1009, 1001])
 
 
 class TestPrimeCheck:
