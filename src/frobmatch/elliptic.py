@@ -9,8 +9,12 @@ Two routes are provided, an oracle and an engine that shares nothing with it:
   Cohen, A Course in Computational Algebraic Number Theory, Alg. 7.4.12),
   run in lockstep over a list of curves and a list of primes with one numpy
   lane per (prime, curve); the lanes it does not settle go to `ap_naive`.
-  It returns the (curves x primes) int64 trace table, the one trace-engine
-  shape of the package.
+  It first reads a_p mod 2 off the cubic (a_p is even exactly when
+  x^3 + Ax + B has a root mod p) and searches only the traces of that
+  parity, the 2-torsion constraint of Kedlaya and Sutherland (Computing
+  L-series of hyperelliptic curves, ANTS VIII, 2008).  It returns the
+  (curves x primes) int64 trace table, the one trace-engine shape of the
+  package.
 
 `ap_bsgs(curve, p)` is its checked one-prime entry point.
 
@@ -120,17 +124,18 @@ def count_points(curve: CurveQ, p: int) -> int:
 LANE_MAX_PRIME = 3_030_000_000
 
 # Table cells (rows x lanes) per kernel call.  The tables hold about
-# 2 sqrt(2) p^(1/4) rows (61 at p = 2*10^5, 159 at 10^7), so a call takes
-# about 2,150 lanes at 2*10^5 and 820 at 10^7, and its memory, about 37 bytes
-# per cell at its peak, stays the same at every p.  Each numpy call costs
-# about 1.5 us on top of its arithmetic, a fifth of a product mod p on 1024
-# lanes; twice these cells gave no more speed and 4 MB more peak memory.
+# 2 p^(1/4) rows, as the search covers one parity of traces (43 at
+# p = 2*10^5, 112 at 10^7), so a call takes about 3,050 lanes at 2*10^5 and
+# 1,170 at 10^7, and its memory, about 42 bytes per cell at its peak (by
+# tracemalloc on one call), stays the same at every p.  Each numpy call
+# costs about 1.5 us on top of its arithmetic, a fifth of a product mod p on
+# 1024 lanes; twice these cells gave no more speed and 4 MB more peak memory.
 LANE_CELLS = 1 << 17
 
 # Rounds, one sampled point each, before an open lane goes to ap_naive.  Over
-# the five test curves of `verify` (two CM), 98.2% of the 12,835 good primes
+# the five test curves of `verify` (two CM), 98.4% of the 12,835 good primes
 # in (10^5, 1.3*10^5) were settled by the first point and none needed more
-# than 10; in (457, 2*10^4), 94.0% of 10,869 and at most 12.
+# than 10; in (457, 2*10^4), 95.0% of 10,869 and at most 12.
 MAX_POINTS = 16
 
 Lanes = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -236,11 +241,11 @@ def _splitmix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _lane_tables(P: Lanes, a: np.ndarray, p: np.ndarray, s: int, K: int):
-    """(X, Y, inf): tables of shape (s + 2K + 1, lanes), for P with Z = 1 on
-    every lane.  Row e holds
-    (e + 1)P for e < s, row s + i holds Q - (i - K)(2s + 1)P with
-    Q = (p + 1)P; X and Y are the affine x and y, and inf marks O."""
+def _lane_tables(P: Lanes, T: Lanes, n: np.ndarray, a: np.ndarray, p: np.ndarray, s: int, K: int):
+    """(X, Y, Z, inf): tables of shape (s + 2K + 1, lanes), for P with Z = 1
+    on every lane.  Row e holds (e + 1)P for e < s, row s + i holds
+    Q - (i - K)(2s + 1)P with Q = nP + T; X is the affine x, Y stays
+    projective, Z holds 1/Z, and inf marks O."""
     X, Y, Z = (np.empty((s + 2 * K + 1, len(p)), p.dtype) for _ in range(3))
     R = P
     for e in range(s):
@@ -249,7 +254,7 @@ def _lane_tables(P: Lanes, a: np.ndarray, p: np.ndarray, s: int, K: int):
         X[e], Y[e], Z[e] = R
     D = _lane_add(_lane_dbl(R, a, p), P, a, p, affine=True)  # (2s+1)P
     minus_D = (D[0], (p - D[1]) % p, D[2])
-    R = _lane_mul(p + 1 + K * (2 * s + 1), (X[:s], Y[:s], Z[:s]), a, p)
+    R = _lane_add(_lane_mul(n + K * (2 * s + 1), (X[:s], Y[:s], Z[:s]), a, p), T, a, p)
     for i in range(2 * K + 1):
         if i:
             R = _lane_add(R, minus_D, a, p)
@@ -257,23 +262,31 @@ def _lane_tables(P: Lanes, a: np.ndarray, p: np.ndarray, s: int, K: int):
     inf = Z == 0
     Z[inf] = 1  # identities stay out of the inversion
     _lane_invert(Z, p)
-    for T in (X, Y):
-        T *= Z
-        T %= p
-    return X, Y, inf
+    X *= Z
+    X %= p
+    return X, Y, Z, inf
 
 
 def _lane_match(
-    X: np.ndarray, Y: np.ndarray, inf: np.ndarray, s: int, K: int, p: np.ndarray, h: np.ndarray
+    X: np.ndarray,
+    Y: np.ndarray,
+    Z: np.ndarray,
+    inf: np.ndarray,
+    s: int,
+    K: int,
+    p: np.ndarray,
+    h: np.ndarray,
+    t0: np.ndarray,
 ):
-    """(t, count) per lane from `_lane_tables`: count is the number of t in
-    [-h, h] with tP = Q, and t is one of them; count = -1 when P has order
-    <= 2s (when s <= h, several t fit then anyway).  Overwrites X.
+    """(t, count) per lane from `_lane_tables` on P2 = 2P and Q = (p+1-t0)P:
+    count is the number of t = t0 + 2k in [-h, h] with kP2 = Q, that is with
+    tP = (p+1)P, and t is one of them; count = -1 when P2 has order <= 2s
+    (when s <= h/2, several t fit then anyway).  Overwrites X.
 
-    eP (e <= s) is O, has y = 0 or repeats an x exactly when P has order
-    <= 2s.  Otherwise the 2s + 1 points jP (|j| <= s) are distinct, so each
-    giant point is at most one of them: an x match, with y deciding the sign
-    of j, or O for j = 0.
+    eP2 (e <= s) is O, has y = 0 or repeats an x exactly when P2 has order
+    <= 2s.  Otherwise the 2s + 1 points jP2 (|j| <= s) are distinct, so each
+    giant point is at most one of them: an x match, with the sign of y
+    (Y/Z, formed at the hits alone) deciding the sign of j, or O for j = 0.
     """
     step = 2 * s + 1
     L = X.shape[1]
@@ -302,11 +315,13 @@ def _lane_match(
     np.maximum.accumulate(start, out=start)
     hit = np.flatnonzero(~baby & baby[start])
     lane = (keys[hit] >> xbits).astype(np.intp)
-    g, e = row[hit], row[start[hit]]  # giant row; baby row e holds (e + 1)P
-    j = np.where(Y[g, lane] == Y[e, lane], e + 1, -e - 1)
+    g, e = row[hit], row[start[hit]]  # giant row; baby row e holds (e + 1)P2
+    q = p[lane]
+    j = np.where(Y[g, lane] * Z[g, lane] % q == Y[e, lane] * Z[e, lane] % q, e + 1, -e - 1)
     rows, zero_lanes = np.nonzero(inf[s:])
     lanes = np.concatenate((lane, zero_lanes))
-    t = np.concatenate(((g - s - K) * step + j, (rows - K) * step))
+    k = np.concatenate(((g - s - K) * step + j, (rows - K) * step))
+    t = t0[lanes] + 2 * k
     inside = np.abs(t) <= h[lanes]
     lanes, t = lanes[inside], t[inside]
     found = np.zeros(L, np.int64)
@@ -317,10 +332,12 @@ def _lane_match(
 
 
 def _table_shape(hmax: int) -> tuple[int, int]:
-    """(s, K) for a batch whose widest Hasse interval is [-hmax, hmax]: s baby
-    steps and 2K + 1 giant steps of 2s + 1 cover it, in s + 2K + 1 rows."""
-    s = math.isqrt(hmax) + 1
-    return s, max(0, -(-(hmax - s) // (2 * s + 1)))
+    """(s, K) for a batch whose widest Hasse interval is [-hmax, hmax]: its
+    traces of one parity t0 + 2k have |k| <= H = ceil(hmax / 2), and s baby
+    steps and 2K + 1 giant steps of 2s + 1 cover those k, in s + 2K + 1 rows."""
+    H = (hmax + 1) // 2
+    s = math.isqrt(H) + 1
+    return s, max(0, -(-(H - s) // (2 * s + 1)))
 
 
 def _rows(hmax: int) -> int:
@@ -354,6 +371,41 @@ def _batch_size(n_open: int, h_open: int, h_fresh: np.ndarray) -> int:
     return max(n, 0 if n_open else 1)
 
 
+def _lane_xpow(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> Lanes:
+    """(c0, c1, c2) per lane with x^p = c0 + c1 x + c2 x^2 mod x^3 + ax + b
+    and p, by square-and-multiply on the remainders (x^3 = -ax - b)."""
+    c0, c1, c2 = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
+    for bit in range(int(p.max()).bit_length() - 1, -1, -1):
+        u = 2 * (c1 * c2 % p) % p  # the x^3 coefficient of the square
+        v = c2 * c2 % p  # its x^4 coefficient
+        c0, c1, c2 = (
+            (c0 * c0 - u * b) % p,
+            (2 * (c0 * c1 % p) - u * a % p - v * b) % p,
+            (c1 * c1 - v * a + 2 * (c0 * c2 % p)) % p,
+        )
+        odd = (p >> bit) & 1 == 1
+        c0, c1, c2 = np.where(odd, -b * c2 % p, c0), np.where(odd, (c0 - a * c2) % p, c1), np.where(odd, c1, c2)
+    return c0, c1, c2
+
+
+def _lane_parity(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_p mod 2 per lane of y^2 = x^3 + ax + b mod p, as int64 0 or 1: a_p
+    is even exactly when the cubic has a root, a point of order 2.
+
+    The cubic is squarefree at a good prime.  When its discriminant
+    -4a^3 - 27b^2 is a non-square, it has exactly one root (Stickelberger);
+    when a square, none or three, and three exactly when x^p = x mod the
+    cubic.  Its twist by f has the roots f*root, so the trace -a_p of the
+    twist has the same parity."""
+    disc = -(4 * (a * a % p * a % p) + 27 * (b * b % p)) % p
+    odd = np.zeros(len(p), np.int64)
+    i = np.flatnonzero(_lane_pow(disc, (p - 1) // 2, p) == 1)
+    if i.size:
+        c0, c1, c2 = _lane_xpow(p[i], a[i], b[i])
+        odd[i] = ~((c0 == 0) & (c1 == 1) & (c2 == 0))
+    return odd
+
+
 def _lane_round(
     p: np.ndarray, a: np.ndarray, b: np.ndarray, h: np.ndarray, rnd: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -365,11 +417,17 @@ def _lane_round(
     y^2 = x^3 + a f^2 x + b f^3, which is E when f is a square and its
     quadratic twist when it is not (Euler's criterion tells which), so no
     square root is needed.  x is a hash of (a, b, p, rnd) alone, so a lane's
-    point does not depend on the batch around it.  With Q = (p+1)P, a baby
-    table eP (e = 1..s) and giant points Q - k(2s+1)P (|k| <= K), every t in
-    [-h, h] with tP = Q is k(2s+1) + j for one (k, j), |j| <= s.  The lane is
-    resolved when exactly one such t exists; then t is the trace of the curve
-    P lies on, which is a_p or, on the twist, -a_p.
+    point does not depend on the batch around it.
+
+    Only traces t = t0 + 2k of the parity t0 of a_p (`_lane_parity`) are
+    searched, on P2 = 2P: tP = (p+1)P exactly when kP2 = Q with
+    Q = (p+1-t0)P = ((p+1)/2 - t0)P2 + t0 P.  With a baby table eP2
+    (e = 1..s) and giant points Q - i(2s+1)P2 (|i| <= K), every such k with
+    |t| <= h is i(2s+1) + j for one (i, j), |j| <= s.  The lane is resolved
+    when exactly one such t exists; then t is the trace of the curve P lies
+    on, which is a_p or, on the twist, -a_p.  P2 is made affine by the
+    isomorphism (x, y) -> (u^2 x, u^3 y) with u its Z, which moves the curve
+    to y^2 = x^3 + a f^2 u^4 x + b f^3 u^6 and needs no inverse.
     """
     u64 = p.astype(np.uint64)
     z = _splitmix(_splitmix(_splitmix(u64) ^ a.astype(np.uint64)) ^ b.astype(np.uint64))
@@ -380,11 +438,16 @@ def _lane_round(
     if composite.any():
         q = int(p[composite][0])
         raise ValueError(f"p={q} is not prime: Euler's criterion fails")
-    ff = f * f % p
-    P = (x * f % p, ff, np.ones_like(p))
+    t0 = _lane_parity(p, a, b)
+    xf, ff = x * f % p, f * f % p
+    af = a * ff % p
+    X2, Y2, u = _lane_dbl((xf, ff, np.ones_like(p)), af, p)
+    uu = u * u % p
+    P2 = (X2 * u % p, Y2 * uu % p, np.ones_like(p))
+    T = (xf * uu % p, ff * (uu * u % p) % p, t0.astype(p.dtype))  # P where t0 = 1, O where 0
     s, K = _table_shape(int(h.max()))
-    X, Y, inf = _lane_tables(P, a * ff % p, p, s, K)
-    t, count = _lane_match(X, Y, inf, s, K, p, h)
+    X, Y, Z, inf = _lane_tables(P2, T, (p + 1) // 2 - t0, af * (uu * uu % p) % p, p, s, K)
+    t, count = _lane_match(X, Y, Z, inf, s, K, p, h, t0)
     return np.where(euler == 1, t, -t), (count == 1) & (f != 0)
 
 
@@ -401,7 +464,10 @@ def _lane_stream(curves: list[CurveQ], primes: list[int]) -> tuple[np.ndarray, n
     unsettled.
     """
     C = len(curves)
-    dtype = np.int64 if max(primes, default=0) < LANE_MAX_PRIME else object
+    top = max(primes, default=0)
+    if top >= 1 << 64:
+        raise ValueError(f"p={top} is not below 2^64, the limit of the lane kernel's sampler")
+    dtype = np.int64 if top < LANE_MAX_PRIME else object
     col = np.array(primes, dtype=dtype)
     good = np.zeros((len(col), C), bool)
     above = col > BSGS_MIN_PRIME
@@ -442,12 +508,13 @@ def ap_stream(curves: list[CurveQ], primes: list[int]) -> np.ndarray:
     with one numpy lane per (prime, curve).
 
     The lanes are int64 when every prime is below LANE_MAX_PRIME and Python
-    ints otherwise; the sampler hashes each prime as a uint64, so primes must
-    be below 2^64.  Primes <= BSGS_MIN_PRIME and lanes still open after
-    MAX_POINTS rounds are computed by `ap_naive`, curve by curve in prime
-    order; so are bad primes, which it rejects with ValueError.  Lanes do not
-    test primality (that needs trial division per prime); their Euler check
-    raises ValueError on most composites.
+    ints otherwise; the sampler hashes each prime as a uint64, so a prime at
+    or above 2^64 raises ValueError before any work.  Primes <=
+    BSGS_MIN_PRIME and lanes still open after MAX_POINTS rounds are computed
+    by `ap_naive`, curve by curve in prime order; so are bad primes, which it
+    rejects with ValueError.  Lanes do not test primality (that needs trial
+    division per prime); their Euler check raises ValueError on most
+    composites.
     """
     traces, settled = _lane_stream(curves, primes)
     table = np.ascontiguousarray(traces.T)

@@ -51,7 +51,8 @@ from frobmatch.svgplot import render_loglog_svg
 
 # The fewest primes a segment gets: each one costs a worker process and ends
 # in a partial kernel batch.  On a 2-core VM two workers break even with one
-# at about 2,000 primes of a pair, and save 10% at 4,200 and 35% at 7,800.
+# at about 3,000 primes of a pair (the first ones), and save 14% at 4,096 and
+# 26% at 8,192; two segments start at 4,096 primes.
 SEGMENT_MIN_PRIMES = 2048
 
 

@@ -6,7 +6,8 @@ Suites
   charsum   complete sums, Jacobi sums, triple-sum path agreement
   elliptic  trace formula vs point enumeration, the lane kernel (the one
             trace engine) vs exact sum, per curve and as one stream of
-            every test curve
+            every test curve, and its parity test vs a_p mod 2 and vs the
+            cubic's roots by enumeration
   sieve     square detection (int64 roots vs math.isqrt, up to and past
             2^53), the squarefree column vs scalar trial division,
             version-2 inequality, Legendre-matrix terms vs the jacobi_symbol
@@ -29,7 +30,7 @@ from frobmatch.charsum import (
     jacobi_symbol,
     triple_sum,
 )
-from frobmatch.elliptic import CurveQ, ap_naive, ap_stream
+from frobmatch.elliptic import CurveQ, _lane_parity, ap_naive, ap_stream
 from frobmatch.frobenius import scan_pair, write_csv
 from frobmatch.gl2 import (
     GL2_CSV_COLUMNS,
@@ -108,29 +109,41 @@ def verify_charsum(out_dir: str | None = None) -> tuple[bool, str]:
     )
 
 
+def count_roots_enumeration(curve: CurveQ, p: int) -> int:
+    """#{x in F_p : x^3 + Ax + B = 0}, by evaluating the cubic at every x."""
+    x = np.arange(p, dtype=np.int64)
+    return int(np.count_nonzero((x * x % p * x + curve.A % p * x + curve.B % p) % p == 0))
+
+
 def verify_elliptic(p_max_naive: int = 1000, p_max_lanes: int = 10_000) -> tuple[bool, str]:
     """ap_naive against point enumeration below p_max_naive; the trace
     engine ap_stream, one stream per curve and one stream of every curve on
-    their common good primes, against ap_naive below p_max_lanes."""
-    mism_enum = mism_lanes = mism_stream = 0
+    their common good primes, against ap_naive below p_max_lanes; and the
+    kernel's parity test against ap_naive mod 2 and against the cubic's roots
+    counted by enumeration (a_p is even exactly when there is one)."""
+    mism_enum = mism_lanes = mism_parity = mism_stream = 0
     checked = 0
     naive = []
     for curve in TEST_CURVES:
         good = [p for p in primes_in(3, p_max_lanes) if curve.is_good(p)]
         checked += len(good)
         naive.append(dict(zip(good, (ap_naive(curve, p) for p in good))))
-        for p, lane in zip(good, ap_stream([curve], good)[0].tolist()):
+        col = np.array(good, dtype=np.int64)
+        parity = _lane_parity(col, np.remainder(curve.A, col), np.remainder(curve.B, col)).tolist()
+        for p, lane, odd in zip(good, ap_stream([curve], good)[0].tolist(), parity):
             a = naive[-1][p]
             if p < p_max_naive and a != p + 1 - count_points_enumeration(curve, p):
                 mism_enum += 1
             mism_lanes += lane != a
+            mism_parity += odd != a % 2 or odd != (count_roots_enumeration(curve, p) == 0)
     common = [p for p in primes_in(3, p_max_lanes) if all(c.is_good(p) for c in TEST_CURVES)]
     for table, row in zip(naive, ap_stream(list(TEST_CURVES), common).tolist()):
         mism_stream += sum(table[p] != t for p, t in zip(common, row))
-    ok = mism_enum == mism_lanes == mism_stream == 0
+    ok = mism_enum == mism_lanes == mism_parity == mism_stream == 0
     return ok, (
         f"elliptic: {checked} traces over {len(TEST_CURVES)} curves; "
         f"enumeration mismatches: {mism_enum}; lane-kernel mismatches: {mism_lanes}; "
+        f"parity mismatches: {mism_parity}; "
         f"{len(common) * len(TEST_CURVES)} stream traces, mismatches: {mism_stream}"
     )
 

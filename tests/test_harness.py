@@ -449,6 +449,13 @@ class TestVerificationGates:
         assert not ok
         assert msg.endswith("mismatches: 5")
 
+    def test_elliptic_suite_catches_a_wrong_parity(self, monkeypatch):
+        real = verify._lane_parity
+        monkeypatch.setattr(verify, "_lane_parity", lambda p, a, b: 1 - real(p, a, b))
+        ok, msg = verify.verify_elliptic(p_max_naive=300, p_max_lanes=1000)
+        assert not ok
+        assert f"parity mismatches: {sum(len(good_primes(1000, c)[0]) for c in verify.TEST_CURVES)};" in msg
+
     def test_report_into_a_new_nested_directory(self, tmp_path):
         out = tmp_path / "reports" / "gl2"
         ok, _ = verify.verify_gl2(str(out))

@@ -1,7 +1,9 @@
 """The lane kernel `ap_stream`, one curve or several, against `ap_naive` and
-a group-law certificate, the shape of its trace table, its int64 limit and
-its Python-int lanes above it, its batching and segments and its `ap_naive`
-fallback; and the prime check of the one-prime entry points."""
+a group-law certificate, its parity test against `ap_naive` and the cubic's
+roots, the share of lanes its first point settles, the shape of its trace
+table, its int64 and 2^64 limits and its Python-int lanes between them, its
+batching and segments and its `ap_naive` fallback; and the prime check of the
+one-prime entry points."""
 
 import functools
 import math
@@ -15,7 +17,7 @@ from frobmatch.arith import is_prime
 from frobmatch.elliptic import LANE_MAX_PRIME, CurveQ, ap_bsgs, ap_naive, ap_stream
 from frobmatch.experiment import compute_traces
 from frobmatch.frobenius import good_primes
-from frobmatch.verify import TEST_CURVES
+from frobmatch.verify import DEMO_PAIR, TEST_CURVES, count_roots_enumeration
 
 SAMPLE_CURVES = (CurveQ(2, 3), CurveQ(0, 1), CurveQ(1, 0))  # the last two CM
 # Two pairs of TEST_CURVES for the stream; the second has the CM curve y^2 = x^3 + 1.
@@ -119,6 +121,54 @@ class TestCertificate:
                 _assert_certified(curve, p, wrong)
 
 
+class TestParity:
+    @pytest.mark.parametrize("curve", TEST_CURVES, ids=lambda c: c.label())
+    def test_equals_naive_and_root_count_to_2e4(self, curve):
+        naive = _naive_to_2e4(curve)
+        col = np.array(list(naive), dtype=np.int64)
+        parity = elliptic._lane_parity(col, np.remainder(curve.A, col), np.remainder(curve.B, col))
+        assert parity.dtype == np.int64
+        assert parity.tolist() == [a % 2 for a in naive.values()]
+        assert parity.tolist() == [int(count_roots_enumeration(curve, p) == 0) for p in naive]
+
+    def test_python_int_lanes(self):
+        col = np.array(list(ABOVE_LIMIT), dtype=object)
+        parity = elliptic._lane_parity(col, np.remainder(2, col), np.remainder(3, col))
+        assert parity.tolist() == [t % 2 for t in ABOVE_LIMIT.values()] == [0, 0, 0]
+
+    def test_first_point_settles_the_demo_pair(self, monkeypatch):
+        # a wrong parity leaves most lanes with no trace to find, so they
+        # would run all MAX_POINTS rounds and end in ap_naive
+        good = [p for p in good_primes(120_000, *DEMO_PAIR)[0] if p > 100_000]
+        first = []
+        real = elliptic._lane_round
+
+        def spy(p, a, b, h, rnd):
+            t, resolved = real(p, a, b, h, rnd)
+            first.extend(resolved[rnd == 0].tolist())
+            return t, resolved
+
+        monkeypatch.setattr(elliptic, "_lane_round", spy)
+        _, settled = elliptic._lane_stream(list(DEMO_PAIR), good)
+        assert len(first) == 2 * len(good) and sum(first) >= 0.95 * len(first)
+        assert settled.all()
+
+    def test_a_sampled_root_leaves_the_lane_open(self):
+        # f(x) = 0 gives the point (0, 0) of no elliptic curve: such a lane
+        # must neither raise nor settle; x^3 - x has three roots to land on,
+        # and x is the sampler's hash (its "^ b" drops out at b = 0)
+        good, _ = good_primes(300, CurveQ(-1, 0))
+        p = np.repeat(np.array(good, dtype=np.int64), 16)
+        rnd = np.tile(np.arange(16), len(good))
+        a, b = np.remainder(-1, p), np.zeros_like(p)
+        z = elliptic._splitmix(elliptic._splitmix(elliptic._splitmix(p.astype(np.uint64)) ^ a.astype(np.uint64)))
+        x = (elliptic._splitmix(z + rnd.astype(np.uint64)) % p.astype(np.uint64)).astype(np.int64)
+        root = (x * x * x - x) % p == 0
+        assert root.sum() > 10
+        _, resolved = elliptic._lane_round(p, a, b, elliptic._hasse_radius(p), rnd)
+        assert not resolved[root].any() and resolved[~root].any()
+
+
 class TestAgreement:
     @pytest.mark.parametrize("curve", TEST_CURVES, ids=lambda c: c.label())
     def test_equals_naive_on_every_good_prime_to_2e4(self, curve):
@@ -205,7 +255,12 @@ class TestInt64Limit:
         X = np.zeros((3, 2), np.int64)
         p = np.array([(1 << 61) + 1, 7])
         with pytest.raises(OverflowError, match="do not fit int64"):
-            elliptic._lane_match(X, X.copy(), X == 1, 1, 1, p, np.ones(2, np.int64))
+            elliptic._lane_match(X, X.copy(), X.copy(), X == 1, 1, 1, p, np.ones(2, np.int64), np.zeros(2, np.int64))
+
+    @pytest.mark.parametrize("primes", [[2**64 + 13], [1009, 2**64 + 13]], ids=["alone", "with-one-below"])
+    def test_primes_from_2_64_up_raise(self, primes):
+        with pytest.raises(ValueError, match=r"p=18446744073709551629 is not below 2\^64"):
+            ap_stream([CurveQ(2, 3)], primes)
 
     def test_one_prime_above_the_limit_puts_every_lane_on_python_ints(self, naive_calls):
         curve = CurveQ(2, 3)
