@@ -16,7 +16,7 @@ from frobmatch.arith import (
     squarefree_part,
 )
 from frobmatch.charsum import jacobi_sum, triple_sum, weil_sum_bruteforce, weil_sum_closed
-from frobmatch.elliptic import CurveQ, ap_bsgs, ap_naive, ap_stream, count_points
+from frobmatch.elliptic import CurveQ, ap_bsgs, ap_naive, ap_stream
 from frobmatch.frobenius import (
     FrobeniusFieldTag,
     PairScan,
@@ -71,7 +71,6 @@ __all__ = [
     "count_fixed_field",
     "count_fixed_trace",
     "count_joint_traces",
-    "count_points",
     "curve_pair_multiset",
     "frobenius_field",
     "is_perfect_square",

@@ -1,5 +1,6 @@
 """Complete quadratic character sums, Jacobi sums, and the triple sum over
-residue classes that feeds the sieve main term.
+residue classes from the paper's sieve main term, for the verification
+reports (`charsum-verify`, `verify-all`).
 
 The complete sum sum_x ((4d - x^2)/q) over x mod q evaluates, for any unit d,
 to the d-independent constant -((-1)/q); that closed form is verified against
@@ -13,7 +14,6 @@ the containment of the sum in {-1, 0, 1} matters downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,18 +47,6 @@ def half_reduction(q: int, d: int) -> int:
     check_odd_prime(q)
     check_unit(d, q)
     return (-jacobi_symbol(-1, q) + jacobi_symbol(d, q)) // 2
-
-
-@dataclass(frozen=True)
-class CharSumTable:
-    """values[d] = complete quadratic sum at modulus q, for every unit d."""
-
-    q: int
-    values: dict[int, int]
-
-
-def char_sum_table(q: int) -> CharSumTable:
-    return CharSumTable(q, {d: weil_sum_bruteforce(q, d) for d in range(1, q)})
 
 
 def jacobi_sum(q: int) -> int:

@@ -106,11 +106,6 @@ def ap_naive(curve: CurveQ, p: int) -> int:
     return a_p
 
 
-def count_points(curve: CurveQ, p: int) -> int:
-    """#E(F_p) = p + 1 - a_p."""
-    return p + 1 - ap_naive(curve, p)
-
-
 # ---------------------------------------------------------------------------
 # The lane kernel: the BSGS search for many (prime, curve) pairs at once, one
 # numpy lane each.  Points are homogeneous projective (X : Y : Z), one array per

@@ -238,17 +238,6 @@ def chebotarev_empirical(scan: PairScan, q1: int, q2: int) -> CheboTable:
     return CheboTable(q1, q2, scan.x, counts.tolist(), len(scan.p))
 
 
-def chebotarev_deviation(table: CheboTable) -> tuple[float, tuple[int, int, int]]:
-    """Max |empirical cell - predicted class share * li(x)| and its first cell.
-
-    The prediction is the matrix-pair class ratio from `frobmatch.gl2`; the
-    deviation is reported, never asserted against a bound.
-    """
-    pairs = zip(table.cells(), table.predictions())
-    worst, (d, s, t, _) = max(((abs(c[3] - pred), c) for c, pred in pairs), key=lambda w: w[0])
-    return worst, (d, s, t)
-
-
 def write_csv(path, header: list[str], rows: Iterable) -> None:
     """A header line and then `rows`, creating the file's directory if needed."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)

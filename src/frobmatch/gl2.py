@@ -76,12 +76,6 @@ def count_det_trace_bruteforce(q: int, d: int, t: int) -> int:
     return int(det_trace_histogram(q)[d % q, t % q])
 
 
-def gl2_order_enumerated(n: int) -> int:
-    """|GL2(Z/n)| by summing the histogram over unit determinants."""
-    hist = det_trace_histogram(n)
-    return int(sum(hist[d].sum() for d in range(n) if math.gcd(d, n) == 1))
-
-
 def order_H_formula(q1: int, q2: int) -> int:
     """Order of the equal-determinant subgroup of GL2(Z/q1)^2 x GL2(Z/q2)^2.
 
@@ -108,32 +102,9 @@ def pair_class_count(q1: int, q2: int, d: int, s: int, t: int) -> int:
     return count_det_trace_formula(q1, q2, d, s) * count_det_trace_formula(q1, q2, d, t)
 
 
-def pair_class_count_bruteforce(q1: int, q2: int, d: int, s: int, t: int) -> int:
-    n = check_odd_prime_pair(q1, q2)
-    hist = det_trace_histogram(n)
-    check_unit(d, n)
-    return int(hist[d % n, s % n]) * int(hist[d % n, t % n])
-
-
 def class_ratio(q1: int, q2: int, d: int, s: int, t: int) -> Fraction:
     """Exact rational #C(s, t, d) / #H; sums to 1 over unit d and all s, t."""
     return Fraction(pair_class_count(q1, q2, d, s, t), order_H_formula(q1, q2))
-
-
-def class_ratio_main_term(q1: int, q2: int) -> Fraction:
-    """The symbol-free leading value of `class_ratio` (all four symbols 0)."""
-    return Fraction(
-        q1**2 * q2**2,
-        (q1 - 1) * (q1**2 - 1) ** 2 * (q2 - 1) * (q2**2 - 1) ** 2,
-    )
-
-
-def degree_bound_check(q1: int, q2: int, z: float) -> bool:
-    """order_H(q1, q2) <= z^14, for primes inside the window (z/2, z]."""
-    for q in (q1, q2):
-        if not (z / 2 < q <= z):
-            raise ValueError(f"prime {q} outside the window ({z / 2}, {z}]")
-    return order_H_formula(q1, q2) <= Fraction(z) ** 14
 
 
 def verification_rows(

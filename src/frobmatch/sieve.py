@@ -26,12 +26,9 @@ from frobmatch.arith import (
     is_perfect_square,
     isqrt_column,
     jacobi_symbol,
-    log_integral,
     primes_in,
 )
 from frobmatch.frobenius import PairScan, chebotarev_empirical, pair_product
-from frobmatch.gl2 import class_ratio_main_term
-from frobmatch.charsum import triple_sum
 
 SIEVE_CSV_COLUMNS = [
     "version",
@@ -275,18 +272,6 @@ def choose_z_uncond(x: float, c3: float = 1.0) -> float:
     if c3 <= 0:
         raise ValueError(f"need c3 > 0, got {c3}")
     return c3 * math.log(x) ** (1 / 42) * math.log(math.log(x)) ** (-1 / 21)
-
-
-def uncond_growth_condition(x: float, c2: float = 1.0, c3: float = 1.0) -> bool:
-    """Companion constraint for the unconditional z: c2 z^42 (log z)^2 <= log x."""
-    z = choose_z_uncond(x, c3)
-    return c2 * z**42 * math.log(z) ** 2 <= math.log(x)
-
-
-def main_term_assembly(q1: int, q2: int, x: float) -> float:
-    """li(x) times the exact class-ratio coefficient times the triple sum."""
-    coeff = class_ratio_main_term(q1, q2)
-    return log_integral(x) * float(coeff) * triple_sum(q1, q2)
 
 
 def check_bound_x(x: float) -> None:

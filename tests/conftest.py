@@ -1,17 +1,37 @@
+"""Shared fixtures, and the session's oracle table: every value of the two
+brute-force oracles a test compares against, `ap_naive` and
+`count_roots_enumeration`, is computed once per `(curve, p)` and then read
+from `naive_ap` and `naive_roots`."""
+
+import functools
+
 import numpy as np
 import pytest
 
 from frobmatch import experiment
 from frobmatch.elliptic import CurveQ, ap_naive
 from frobmatch.frobenius import scan_pair
+from frobmatch.verify import count_roots_enumeration
 
 DEMO1 = CurveQ(2, 3)
 DEMO2 = CurveQ(5, 7)
 
 
+@functools.cache
+def naive_ap(curve: CurveQ, p: int) -> int:
+    """ap_naive(curve, p), from the session's oracle table."""
+    return ap_naive(curve, p)
+
+
+@functools.cache
+def naive_roots(curve: CurveQ, p: int) -> int:
+    """count_roots_enumeration(curve, p), from the session's oracle table."""
+    return count_roots_enumeration(curve, p)
+
+
 def naive_row(curve: CurveQ, primes: list[int]) -> list[int]:
     """[ap_naive(curve, p) for p in primes]: one curve's oracle traces."""
-    return [ap_naive(curve, p) for p in primes]
+    return [naive_ap(curve, p) for p in primes]
 
 
 def naive_traces(curves, primes: list[int]) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 from frobmatch.arith import primes_in
 from frobmatch.charsum import charsum_verification_rows, jacobi_sum, jacobi_symbol, triple_sum
 from frobmatch.config import parse_config
-from frobmatch.elliptic import ap_naive, ap_stream
+from frobmatch.elliptic import ap_stream
 from frobmatch.experiment import run_experiment
 from frobmatch.frobenius import product_is_square_check
 from frobmatch.gl2 import (
@@ -34,6 +34,7 @@ from frobmatch.sieve import (
     sieve_bound_v2,
 )
 from frobmatch.verify import DEMO_PAIR, TEST_CURVES, count_points_enumeration
+from conftest import naive_ap
 
 E1, E2 = DEMO_PAIR
 
@@ -123,7 +124,7 @@ def test_criterion_4_trace_correctness():
         good = [p for p in primes_in(3, 10_000) if curve.is_good(p)]
         n_traces += len(good)
         for p, lane in zip(good, ap_stream([curve], good)[0].tolist()):
-            naive = ap_naive(curve, p)
+            naive = naive_ap(curve, p)
             if naive * naive > 4 * p:
                 hasse_bad += 1
             if p < 1000 and p + 1 - naive != count_points_enumeration(curve, p):

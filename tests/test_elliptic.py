@@ -12,19 +12,11 @@ from frobmatch.elliptic import (
     CurveQ,
     ap_bsgs,
     ap_naive,
-    count_points,
     quadratic_twist,
 )
 from frobmatch.frobenius import good_primes
-
-
-def count_points_slow(curve: CurveQ, p: int) -> int:
-    """Independent oracle: tabulate y^2 residues, scan x; no symbols."""
-    sq = [0] * p
-    for y in range(p):
-        sq[y * y % p] += 1
-    a, b = curve.A % p, curve.B % p
-    return 1 + sum(sq[(x * x % p * x + a * x + b) % p] for x in range(p))
+from frobmatch.verify import count_points_enumeration
+from conftest import naive_ap
 
 
 class TestCurveQ:
@@ -60,10 +52,10 @@ class TestCurveQ:
 class TestApNaive:
     def test_examples(self):
         e = CurveQ(0, 1)
-        assert ap_naive(e, 5) == 0
-        assert ap_naive(e, 7) == -4
-        assert count_points(e, 5) == 6
-        assert count_points(e, 7) == 12
+        assert naive_ap(e, 5) == 0
+        assert naive_ap(e, 7) == -4
+        assert 5 + 1 - naive_ap(e, 5) == 6
+        assert 7 + 1 - naive_ap(e, 7) == 12
 
     def test_rejects_bad_prime(self):
         with pytest.raises(ValueError):
@@ -75,19 +67,19 @@ class TestApNaive:
         e = CurveQ(2, 3)
         for p in primes_in(3, 200):
             if e.is_good(p):
-                assert count_points(e, p) == count_points_slow(e, p)
+                assert p + 1 - naive_ap(e, p) == count_points_enumeration(e, p)
 
     def test_point_count_identity(self):
         e = CurveQ(5, 7)
         for p in primes_in(3, 1000):
             if e.is_good(p):
-                assert count_points(e, p) + ap_naive(e, p) - p - 1 == 0
+                assert count_points_enumeration(e, p) + naive_ap(e, p) - p - 1 == 0
 
     def test_hasse_bound(self):
         for e in (CurveQ(0, 1), CurveQ(-4, 4)):
             for p in primes_in(3, 500):
                 if e.is_good(p):
-                    assert ap_naive(e, p) ** 2 <= 4 * p
+                    assert naive_ap(e, p) ** 2 <= 4 * p
 
 
 class TestApBsgs:
@@ -95,7 +87,7 @@ class TestApBsgs:
         e = CurveQ(2, 3)
         p = 449
         assert p <= BSGS_MIN_PRIME
-        assert ap_bsgs(e, p) == ap_naive(e, p)
+        assert ap_bsgs(e, p) == naive_ap(e, p)
 
     def test_hasse_at_1009(self):
         assert abs(ap_bsgs(CurveQ(0, 1), 1009)) <= 63  # 2*sqrt(1009) ~ 63.5
@@ -104,7 +96,7 @@ class TestApBsgs:
     def test_agrees_with_naive(self, curve):
         for p in primes_in(BSGS_MIN_PRIME, 2500):
             if curve.is_good(p):
-                assert ap_bsgs(curve, p) == ap_naive(curve, p)
+                assert ap_bsgs(curve, p) == naive_ap(curve, p)
 
     # the primes in (10^5, 10^5 + 5000] where a sampler drawing points on E
     # alone needed the quadratic twist to pin the group order down
@@ -114,7 +106,7 @@ class TestApBsgs:
         + [(CurveQ(1, 0), p) for p in (100801, 103393, 103969)],
     )
     def test_agrees_with_naive_where_twist_decides(self, curve, p):
-        assert ap_bsgs(curve, p) == ap_naive(curve, p)
+        assert ap_bsgs(curve, p) == naive_ap(curve, p)
 
     def test_composite_modulus_raises(self):
         # in a child process, so a sampler that loops forever fails the test
@@ -137,9 +129,9 @@ class TestApBsgs:
         # classical: y^2 = x^3 + x is supersingular exactly at p = 3 mod 4
         e = CurveQ(1, 0)
         for p in (7, 11, 19):
-            assert ap_naive(e, p) == 0
+            assert naive_ap(e, p) == 0
         for p in (5, 13, 1009):
-            assert ap_bsgs(e, p) == ap_naive(e, p)
+            assert ap_bsgs(e, p) == naive_ap(e, p)
 
 
 class TestTwist:
@@ -150,7 +142,7 @@ class TestTwist:
                 continue
             d = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
             tw = quadratic_twist(e, d)
-            assert p + 1 - count_points_slow(tw, p) == -(p + 1 - count_points_slow(e, p))
+            assert p + 1 - count_points_enumeration(tw, p) == -(p + 1 - count_points_enumeration(e, p))
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

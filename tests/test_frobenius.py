@@ -11,12 +11,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frobmatch.arith import log_integral, primes_in
-from frobmatch.elliptic import CurveQ, ap_naive, quadratic_twist
+from frobmatch.elliptic import CurveQ, quadratic_twist
 from frobmatch.frobenius import (
     CheboTable,
     FrobeniusFieldTag,
     PairScan,
-    chebotarev_deviation,
     chebotarev_empirical,
     count_fixed_field,
     count_fixed_trace,
@@ -29,7 +28,7 @@ from frobmatch.frobenius import (
     write_match_csv,
 )
 from frobmatch.gl2 import class_ratio
-from conftest import naive_traces
+from conftest import naive_ap, naive_traces
 
 E1 = CurveQ(2, 3)
 E2 = CurveQ(5, 7)
@@ -172,7 +171,7 @@ class TestScanPair:
         for p in primes_in(0, x):
             if p in E1.bad_primes or p in E2.bad_primes:
                 continue
-            a, b = ap_naive(E1, p), ap_naive(E2, p)
+            a, b = naive_ap(E1, p), naive_ap(E2, p)
             recount += _squarefree_part_slow(4 * p - a * a) == _squarefree_part_slow(
                 4 * p - b * b
             )
@@ -248,13 +247,13 @@ class TestCounters:
     def test_fixed_trace_recount(self):
         x = 1500
         good, _ = good_primes(x, E1)
-        expected = sum(1 for p in good if ap_naive(E1, p) == 1)
+        expected = sum(1 for p in good if naive_ap(E1, p) == 1)
         assert count_fixed_trace(E1, 1, x, naive_traces) == expected
 
     def test_fixed_field_partition(self):
         x = 1000
         good, _ = good_primes(x, E1)
-        tags = {frobenius_field(E1, p, ap_naive(E1, p)).D for p in good}
+        tags = {frobenius_field(E1, p, naive_ap(E1, p)).D for p in good}
         total = sum(count_fixed_field(E1, d, x, naive_traces) for d in tags)
         assert total == len(good)
 
@@ -274,7 +273,7 @@ class TestCounters:
     def test_joint_traces_recount(self):
         x = 1500
         good, _ = good_primes(x, E1, E2)
-        expected = sum(1 for p in good if ap_naive(E1, p) == 0 and ap_naive(E2, p) == 0)
+        expected = sum(1 for p in good if naive_ap(E1, p) == 0 and naive_ap(E2, p) == 0)
         assert count_joint_traces(scan_pair(E1, E2, x, naive_traces), 0, 0) == expected
 
 
@@ -315,13 +314,8 @@ class TestChebotarev:
         good, _ = good_primes(3000, E1, E2)
         expected = [[[0] * 15 for _ in range(15)] for _ in range(15)]
         for p in good:
-            expected[p % 15][ap_naive(E1, p) % 15][ap_naive(E2, p) % 15] += 1
+            expected[p % 15][naive_ap(E1, p) % 15][naive_ap(E2, p) % 15] += 1
         assert table.counts == expected
-
-    def test_deviation_report_runs(self, table):
-        dev, cell = chebotarev_deviation(table)
-        assert dev >= 0
-        assert len(cell) == 3
 
     def test_cells_are_the_unit_grid(self, table):
         n = table.modulus
@@ -331,33 +325,6 @@ class TestChebotarev:
         assert [c[:3] for c in cells] == grid
         assert len(grid) == len(units) * n * n == 8 * 15 * 15
         assert [c[3] for c in cells] == [table.counts[d][s][t] for d, s, t in grid]
-
-    @staticmethod
-    def _deviation_by_loop(table):
-        li_x = log_integral(table.x)
-        worst, worst_cell = -1.0, None
-        for d in range(15):
-            if math.gcd(d, 15) != 1:
-                continue
-            for s in range(15):
-                for t in range(15):
-                    predicted = float(class_ratio(3, 5, d, s, t)) * li_x
-                    dev = abs(table.counts[d][s][t] - predicted)
-                    if dev > worst:
-                        worst, worst_cell = dev, (d, s, t)
-        return worst, worst_cell
-
-    def test_deviation_equals_a_loop(self, table):
-        assert chebotarev_deviation(table) == self._deviation_by_loop(table)
-
-    def test_deviation_tie_goes_to_the_first_cell(self, table):
-        # with no primes counted, every cell's deviation is its prediction,
-        # and the largest prediction is shared by many cells
-        empty = CheboTable(3, 5, table.x, [[[0] * 15 for _ in range(15)] for _ in range(15)], 0)
-        dev, cell = chebotarev_deviation(empty)
-        assert (dev, cell) == self._deviation_by_loop(empty)
-        assert sum(p == dev for p in empty.predictions()) > 1
-
 
     @pytest.mark.parametrize("q1, q2", [(3, 5), (3, 7), (5, 7)])
     def test_predictions_equal_a_class_ratio_loop(self, q1, q2):

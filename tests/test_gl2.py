@@ -5,19 +5,18 @@ import pytest
 
 from frobmatch.gl2 import (
     class_ratio,
-    class_ratio_main_term,
     count_det_trace_bruteforce,
     count_det_trace_formula,
     count_det_trace_single,
-    degree_bound_check,
     det_trace_histogram,
-    gl2_order_enumerated,
     order_H_formula,
     order_H_histogram,
     pair_class_count,
-    pair_class_count_bruteforce,
     verification_rows,
 )
+
+# the symbol-free value of class_ratio(5, 7, ...), all four symbols 0
+MAIN_TERM_5_7 = Fraction(5**2 * 7**2, (5 - 1) * (5**2 - 1) ** 2 * (7 - 1) * (7**2 - 1) ** 2)
 
 
 class TestSingleMatrixCounts:
@@ -70,7 +69,8 @@ class TestGroupOrder:
 
     def test_epimorphism_identity(self):
         # |H| = |GL2(Z/15)|^2 / phi(15), with |GL2| enumerated
-        assert gl2_order_enumerated(15) == 23_040
+        hist = det_trace_histogram(15)
+        assert sum(int(hist[d].sum()) for d in range(15) if math.gcd(d, 15) == 1) == 23_040
         assert order_H_formula(3, 5) == 23_040**2 // 8
         assert 23_040**2 % 8 == 0
 
@@ -93,9 +93,9 @@ class TestGroupOrder:
         for d in (1, 2, 4):
             for s in (0, 3, 7):
                 for t in (0, 1, 14):
-                    assert pair_class_count(3, 5, d, s, t) == pair_class_count_bruteforce(
-                        3, 5, d, s, t
-                    )
+                    assert pair_class_count(3, 5, d, s, t) == count_det_trace_bruteforce(
+                        15, d, s
+                    ) * count_det_trace_bruteforce(15, d, t)
 
 
 class TestClassRatio:
@@ -111,13 +111,11 @@ class TestClassRatio:
 
     def test_symbol_free_cells_hit_exact_value(self):
         # s^2 = t^2 = 4d mod 35 at d=1, s=t=2: all four symbols vanish
-        assert class_ratio(5, 7, 1, 2, 2) == Fraction(
-            5**2 * 7**2, (5 - 1) * (5**2 - 1) ** 2 * (7 - 1) * (7**2 - 1) ** 2
-        )
+        assert class_ratio(5, 7, 1, 2, 2) == MAIN_TERM_5_7
 
     def test_leading_behavior_sweep(self):
         q1, q2 = 5, 7
-        main = class_ratio_main_term(q1, q2)
+        main = MAIN_TERM_5_7
         z = 2 * max(q1, q2)
         worst = Fraction(0)
         for d in range(35):
@@ -131,16 +129,6 @@ class TestClassRatio:
         # empirical constant for the 1/z^7 comparison
         assert worst <= main
         print(f"max |ratio - main| at (5,7): {float(worst):.3e} -> C = {float(worst) * z**7:.1f}")
-
-
-class TestDegreeBound:
-    def test_examples(self):
-        assert degree_bound_check(3, 5, 5)
-        assert degree_bound_check(11, 13, 13)
-
-    def test_rejects_primes_outside_window(self):
-        with pytest.raises(ValueError):
-            degree_bound_check(3, 11, 11)  # 3 <= 11/2
 
 
 class TestVerificationReport:

@@ -17,7 +17,7 @@ from frobmatch import arith, cli, experiment, gl2, verify
 from frobmatch.arith import is_prime
 from frobmatch.cache import cache_path, read_trace_cache, write_trace_cache
 from frobmatch.config import parse_config
-from frobmatch.elliptic import CurveQ, ap_naive
+from frobmatch.elliptic import CurveQ
 from frobmatch.experiment import compute_traces, growth_series, run_experiment
 from frobmatch.frobenius import (
     PairScan,
@@ -28,7 +28,7 @@ from frobmatch.frobenius import (
 )
 from frobmatch.sieve import curve_pair_multiset
 from frobmatch.svgplot import render_loglog_svg
-from conftest import naive_row, naive_traces
+from conftest import naive_ap, naive_row, naive_traces
 
 E1 = CurveQ(2, 3)
 E2 = CurveQ(5, 7)
@@ -90,7 +90,7 @@ def _columns(rows) -> tuple[np.ndarray, np.ndarray]:
 class TestCache:
     def test_roundtrip(self, tmp_path):
         path = cache_path(str(tmp_path), E1)
-        rows = [(p, ap_naive(E1, p)) for p in (7, 13, 17)]
+        rows = [(p, naive_ap(E1, p)) for p in (7, 13, 17)]
         write_trace_cache(path, E1, *_columns(rows))
         assert _rows(read_trace_cache(path, E1)) == rows
 
@@ -120,7 +120,7 @@ class TestCache:
 
     def test_header_mismatch_is_a_miss(self, tmp_path):
         path = cache_path(str(tmp_path), E1)
-        write_trace_cache(path, E1, *_columns([(7, ap_naive(E1, 7))]))
+        write_trace_cache(path, E1, *_columns([(7, naive_ap(E1, 7))]))
         assert _rows(read_trace_cache(path, E2)) == []
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
@@ -204,7 +204,7 @@ class TestCache:
     def test_overlapping_writers_each_land_whole(self, tmp_path):
         # a second writer runs to completion while the first is mid-call
         path = cache_path(str(tmp_path), E1)
-        first = [(p, ap_naive(E1, p)) for p in (7, 13, 17)]
+        first = [(p, naive_ap(E1, p)) for p in (7, 13, 17)]
         second = first[:1]
         p, a = _columns(first)
 
@@ -537,7 +537,7 @@ class TestCli:
             t = int(out.getvalue())
             assert t * t < 4 * p
             if p < 2000:
-                assert t == ap_naive(CurveQ(A, B), p)
+                assert t == naive_ap(CurveQ(A, B), p)
 
     def test_ap_bad_prime_is_config_error(self, capsys):
         assert cli.main(["ap", "0", "1", "3"]) == 2

@@ -5,7 +5,6 @@ table, its int64 and 2^64 limits and its Python-int lanes between them, its
 batching and segments and its `ap_naive` fallback; and the prime check of the
 one-prime entry points."""
 
-import functools
 import math
 import random
 
@@ -17,7 +16,8 @@ from frobmatch.arith import is_prime
 from frobmatch.elliptic import LANE_MAX_PRIME, CurveQ, ap_bsgs, ap_naive, ap_stream
 from frobmatch.experiment import compute_traces
 from frobmatch.frobenius import good_primes
-from frobmatch.verify import DEMO_PAIR, TEST_CURVES, count_roots_enumeration
+from frobmatch.verify import DEMO_PAIR, TEST_CURVES
+from conftest import naive_ap, naive_roots, naive_row
 
 SAMPLE_CURVES = (CurveQ(2, 3), CurveQ(0, 1), CurveQ(1, 0))  # the last two CM
 # Two pairs of TEST_CURVES for the stream; the second has the CM curve y^2 = x^3 + 1.
@@ -41,13 +41,6 @@ def naive_calls(monkeypatch):
 
     monkeypatch.setattr(elliptic, "ap_naive", spy)
     return calls
-
-
-@functools.lru_cache(maxsize=None)
-def _naive_to_2e4(curve):
-    """{p: ap_naive(curve, p)} over the curve's good primes <= 2*10^4, computed once."""
-    good, _ = good_primes(20_000, curve)
-    return {p: ap_naive(curve, p) for p in good}
 
 
 def _seeded_primes(curve, lo, n, seed):
@@ -114,7 +107,7 @@ def _assert_certified(curve, p, t):
 class TestCertificate:
     def test_rejects_a_wrong_trace(self):
         curve, p = CurveQ(2, 3), 1000003
-        t = ap_naive(curve, p)
+        t = naive_ap(curve, p)
         _assert_certified(curve, p, t)
         for wrong in (t + 1, -t):
             with pytest.raises(AssertionError):
@@ -124,12 +117,12 @@ class TestCertificate:
 class TestParity:
     @pytest.mark.parametrize("curve", TEST_CURVES, ids=lambda c: c.label())
     def test_equals_naive_and_root_count_to_2e4(self, curve):
-        naive = _naive_to_2e4(curve)
-        col = np.array(list(naive), dtype=np.int64)
+        good, _ = good_primes(20_000, curve)
+        col = np.array(good, dtype=np.int64)
         parity = elliptic._lane_parity(col, np.remainder(curve.A, col), np.remainder(curve.B, col))
         assert parity.dtype == np.int64
-        assert parity.tolist() == [a % 2 for a in naive.values()]
-        assert parity.tolist() == [int(count_roots_enumeration(curve, p) == 0) for p in naive]
+        assert parity.tolist() == [a % 2 for a in naive_row(curve, good)]
+        assert parity.tolist() == [int(naive_roots(curve, p) == 0) for p in good]
 
     def test_python_int_lanes(self):
         col = np.array(list(ABOVE_LIMIT), dtype=object)
@@ -172,18 +165,18 @@ class TestParity:
 class TestAgreement:
     @pytest.mark.parametrize("curve", TEST_CURVES, ids=lambda c: c.label())
     def test_equals_naive_on_every_good_prime_to_2e4(self, curve):
-        naive = _naive_to_2e4(curve)
-        assert ap_stream([curve], list(naive))[0].tolist() == list(naive.values())
+        good, _ = good_primes(20_000, curve)
+        assert ap_stream([curve], good)[0].tolist() == naive_row(curve, good)
 
     @pytest.mark.parametrize("pair", STREAM_PAIRS, ids=lambda p: f"{p[0].label()} / {p[1].label()}")
     def test_pair_stream_equals_naive_on_every_good_prime_to_2e4(self, pair):
         good, _ = good_primes(20_000, *pair)
-        assert ap_stream(list(pair), good).tolist() == [[_naive_to_2e4(c)[p] for p in good] for c in pair]
+        assert ap_stream(list(pair), good).tolist() == [naive_row(c, good) for c in pair]
 
     def test_equals_naive_on_two_seeded_primes_above_1e6(self):
         for seed, curve in enumerate(SAMPLE_CURVES):
             primes = _seeded_primes(curve, 10**6, 2, seed)
-            assert ap_stream([curve], primes)[0].tolist() == [ap_naive(curve, p) for p in primes]
+            assert ap_stream([curve], primes)[0].tolist() == naive_row(curve, primes)
 
     @pytest.mark.parametrize("lo", [10**6, 10**7])
     def test_equals_bsgs_on_seeded_samples(self, lo, naive_calls):
@@ -327,7 +320,7 @@ class TestBatching:
         monkeypatch.setattr(elliptic, "_lane_round", spy)
         curve = CurveQ(-1, 0)
         good, _ = good_primes(200, curve)
-        assert ap_stream([curve], good)[0].tolist() == [ap_naive(curve, p) for p in good]
+        assert ap_stream([curve], good)[0].tolist() == naive_row(curve, good)
         # carried lanes come first, and some settle on a later round
         assert any(rnd[0] > 0 and rnd[-1] == 0 for rnd, _ in rounds)
         assert any((resolved & (rnd > 0)).any() for rnd, resolved in rounds)
@@ -349,7 +342,7 @@ class TestBatching:
         segments = experiment._segments(good, k)
         assert len(segments) == k and sum(segments, []) == good
         traces = compute_traces(pair, good, threads=k)
-        assert [t.tolist() for t in traces] == [[_naive_to_2e4(c)[p] for p in good] for c in pair]
+        assert [t.tolist() for t in traces] == [naive_row(c, good) for c in pair]
         assert recording_pool == ([k] if k > 1 else [])
 
     def test_segments_split_the_work_evenly(self, monkeypatch):
@@ -374,7 +367,7 @@ class TestFallback:
         monkeypatch.setattr(elliptic, "BSGS_MIN_PRIME", 3)
         curve = CurveQ(-1, 0)
         good, _ = good_primes(200, curve)
-        assert ap_stream([curve], good)[0].tolist() == [ap_naive(curve, p) for p in good]
+        assert ap_stream([curve], good)[0].tolist() == naive_row(curve, good)
         assert 0 < len(naive_calls) < len(good)
 
     def test_bad_prime_raises(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobmatch.arith import is_prime, jacobi_symbol, log_integral, primes_in
+from frobmatch.arith import is_prime, jacobi_symbol, primes_in
 from frobmatch.elliptic import CurveQ
 from frobmatch.frobenius import PairScan, good_primes, scan_pair
 from frobmatch.sieve import (
@@ -17,14 +17,12 @@ from frobmatch.sieve import (
     choose_z_grh,
     choose_z_uncond,
     curve_pair_multiset,
-    main_term_assembly,
     prime_char_sum,
     prime_char_sum_by_classes,
     sieve_bound_v1,
     sieve_bound_v2,
     square_count_exact,
     theorem_bound_curves,
-    uncond_growth_condition,
 )
 from conftest import naive_traces
 
@@ -383,9 +381,6 @@ class TestParameterChoices:
     def test_uncond_growth(self):
         assert choose_z_uncond(10**9) > choose_z_uncond(10**6)
 
-    def test_uncond_condition_with_small_constants(self):
-        assert uncond_growth_condition(1e100, c2=0.5, c3=0.5)
-
     def test_rejects_small_x(self):
         for fn in (choose_z_grh, choose_z_uncond, lambda x: theorem_bound_curves(x, "grh")):
             with pytest.raises(ValueError):
@@ -410,18 +405,3 @@ class TestBoundShapes:
     def test_rejects_unknown_shape(self):
         with pytest.raises(ValueError):
             theorem_bound_curves(1e6, "sharp")
-
-
-class TestMainTerm:
-    def test_exact_composition(self):
-        # triple sum at (3,5) is 8; coefficient is 225/294912
-        expected = log_integral(1e4) * 225 * 8 / 294_912
-        assert main_term_assembly(3, 5, 1e4) == pytest.approx(expected, rel=1e-12)
-
-    def test_bounded_by_substituted_form(self):
-        # triple sum <= (q1-1)(q2-1) collapses the coefficient denominator
-        q1, q2 = 3, 5
-        x = 1e4
-        cap = log_integral(x) * q1**2 * q2**2 / ((q1**2 - 1) ** 2 * (q2**2 - 1) ** 2)
-        val = main_term_assembly(q1, q2, x)
-        assert 0 < val <= cap * (1 + 1e-12)
