@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from itertools import islice
@@ -54,7 +53,7 @@ def _flagged(flags: bytearray, offset: int) -> list[int]:
 
 
 def _sieve_upto(n: int) -> list[int]:
-    # Plain Eratosthenes, used for base primes and small ranges.
+    # Plain Eratosthenes, for the base primes of `primes_in` and for `small_primes`.
     if n < 2:
         return []
     flags = bytearray([1]) * (n + 1)
@@ -81,11 +80,6 @@ def primes_in(lo: int, hi: int) -> list[int]:
     """
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got ({lo}, {hi})")
-    if hi < 2:
-        return []
-    if hi <= _BLOCK:
-        primes = _sieve_upto(hi)
-        return primes[bisect_right(primes, lo) :]
     base = _sieve_upto(math.isqrt(hi))
     out: list[int] = []
     start = max(lo + 1, 2)

@@ -29,7 +29,7 @@ from frobmatch.sieve import (
     sieve_bound_v1,
     sieve_bound_v2,
 )
-from frobmatch.verify import verify_all, verify_charsum, verify_gl2
+from frobmatch.verify import print_result, verify_all, verify_charsum, verify_gl2
 
 EXIT_OK, EXIT_VERIFY, EXIT_CONFIG = 0, 1, 2
 
@@ -116,15 +116,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             return EXIT_OK
 
-        if args.command == "gl2-verify":
-            ok, msg = verify_gl2(args.out)
-            print(("PASS " if ok else "FAIL ") + msg)
-            return EXIT_OK if ok else EXIT_VERIFY
-
-        if args.command == "charsum-verify":
-            ok, msg = verify_charsum(args.out)
-            print(("PASS " if ok else "FAIL ") + msg)
-            return EXIT_OK if ok else EXIT_VERIFY
+        if args.command in ("gl2-verify", "charsum-verify"):
+            suite = verify_gl2 if args.command == "gl2-verify" else verify_charsum
+            return EXIT_OK if print_result(*suite(args.out)) else EXIT_VERIFY
 
         if args.command == "verify-all":
             return EXIT_VERIFY if verify_all(args.out) != 0 else EXIT_OK

@@ -20,7 +20,8 @@ Two routes are provided, an oracle and an engine that shares nothing with it:
 
 The is-a-good-prime test uses the discriminant surrogate: bad primes are the
 primes dividing 6*disc, a finite superset of the primes of bad reduction.
-All counters downstream report which primes were excluded.
+`CurveQ.is_good` tests one prime and `good_mask` a column of them; all
+counters downstream report which primes were excluded.
 """
 
 from __future__ import annotations
@@ -70,6 +71,14 @@ class CurveQ:
 
     def label(self) -> str:
         return f"A={self.A} B={self.B}"
+
+
+def good_mask(curves: list[CurveQ], col: np.ndarray) -> np.ndarray:
+    """The (len(col), len(curves)) bool table of `is_good`: True where the
+    prime col[i] does not divide 6*disc of curves[k].  col is int64 or
+    object; 6*disc of any size is reduced exactly.  It is the transpose of
+    the (curves x primes) table, so each curve's column is contiguous."""
+    return (_residues([6 * c.discriminant for c in curves], np.arange(len(curves))[:, None], col) != 0).T
 
 
 def _require_good(curve: CurveQ, p: int) -> None:
@@ -466,7 +475,7 @@ def _lane_stream(curves: list[CurveQ], primes: list[int]) -> tuple[np.ndarray, n
     col = np.array(primes, dtype=dtype)
     good = np.zeros((len(col), C), bool)
     above = col > BSGS_MIN_PRIME
-    good[above] = _residues([6 * c.discriminant for c in curves], np.arange(C), col[above, None]) != 0
+    good[above] = good_mask(curves, col[above])
     lanes = np.flatnonzero(good)
     traces = np.zeros(good.shape, np.int64)
     settled = np.zeros(good.shape, bool)

@@ -7,8 +7,8 @@ match at p exactly when their D's agree, equivalently when
 (4p - a_p^2)(4p - b_p^2) is a perfect square.
 
 Counters exclude p = 2, 3 and the discriminant-surrogate bad primes of the
-curves involved; the excluded set is returned alongside every scan rather
-than silently dropped.
+curves involved (`elliptic.good_mask`); the excluded set is returned
+alongside every scan rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from frobmatch.arith import (
     primes_in,
     squarefree_part,
 )
-from frobmatch.elliptic import TRACE_LIMIT, CurveQ, ap_bsgs, ap_stream
+from frobmatch.elliptic import TRACE_LIMIT, CurveQ, ap_bsgs, ap_stream, good_mask
 from frobmatch.gl2 import count_det_trace_formula, order_H_formula
 
 # A trace engine: (curves, primes) -> the (len(curves), len(primes)) table
@@ -80,18 +80,14 @@ class PairScan:
 
 
 def good_primes(x: int, *curves: CurveQ) -> tuple[list[int], list[int]]:
-    """Primes p <= x split into (good for every curve, excluded); x >= 5."""
+    """Primes p <= x split into (good for every curve, excluded); x >= 5.
+    p = 2, 3 are excluded, and so is every p that `elliptic.good_mask`
+    finds bad for some curve."""
     if x < 5:
         raise ValueError(f"need x >= 5, got {x}")
     col = np.array(primes_in(0, x), dtype=np.int64)
-    bad = col < 5
-    for c in curves:
-        m = 6 * c.discriminant
-        if abs(m) < 1 << 63:
-            bad |= np.remainder(np.int64(m), col) == 0
-        else:  # Python-int remainders beyond int64
-            bad |= np.remainder(m, col.astype(object)) == 0
-    return col[~bad].tolist(), col[bad].tolist()
+    good = (col >= 5) & good_mask(curves, col).all(axis=1)
+    return col[good].tolist(), col[~good].tolist()
 
 
 def frobenius_field(curve: CurveQ, p: int, a_p: int | None = None) -> FrobeniusFieldTag:
@@ -163,8 +159,7 @@ def count_fixed_trace(e: CurveQ, t: int, x: int, engine: TraceEngine = ap_stream
 def count_fixed_field(e: CurveQ, d: int, x: int, engine: TraceEngine = ap_stream) -> int:
     """#{p <= x good : squarefree part of 4p - a_p^2 equals d}, traces from
     one `engine` call."""
-    if d < 1 or squarefree_part(d) != d:
-        raise ValueError(f"field selector must be squarefree >= 1, got {d}")
+    FrobeniusFieldTag(d)  # ValueError unless d is squarefree and >= 1
     good, _ = good_primes(x, e)
     _, _, (n,) = _engine_traces(engine, (e,), good)
     return int(np.count_nonzero(squarefree_part(n) == d))

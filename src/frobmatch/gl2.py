@@ -23,6 +23,10 @@ ENUM_LIMIT = 35
 
 GL2_CSV_COLUMNS = ["q1", "q2", "d", "s", "t", "formula", "bruteforce", "equal"]
 
+# The moduli of the verification report: single primes, then prime pairs.
+VERIFY_PRIMES = (3, 5, 7, 11, 13)
+VERIFY_PAIRS = ((3, 5), (3, 7), (5, 7))
+
 
 def count_det_trace_single(q: int, d: int, t: int) -> int:
     """#{g in GL2(Z/q) : det g = d, tr g = t} = q(q + ((t^2-4d)/q))."""
@@ -32,15 +36,11 @@ def count_det_trace_single(q: int, d: int, t: int) -> int:
 
 
 def count_det_trace_formula(q1: int, q2: int, d: int, t: int) -> int:
-    """Matrix count with fixed unit determinant d and trace t mod q1*q2."""
-    n = check_odd_prime_pair(q1, q2)
-    check_unit(d, n)
-    return (
-        q1
-        * q2
-        * (q1 + jacobi_symbol(t * t - 4 * d, q1))
-        * (q2 + jacobi_symbol(t * t - 4 * d, q2))
-    )
+    """Matrix count with fixed unit determinant d and trace t mod q1*q2: by
+    CRT, GL2(Z/q1q2) = GL2(Z/q1) x GL2(Z/q2), so it is the product of the
+    two `count_det_trace_single` counts."""
+    check_unit(d, check_odd_prime_pair(q1, q2))
+    return count_det_trace_single(q1, d, t) * count_det_trace_single(q2, d, t)
 
 
 @lru_cache(maxsize=None)
@@ -59,21 +59,15 @@ def det_trace_histogram(n: int) -> np.ndarray:
     return hist
 
 
-def _check_enum_modulus(q: int) -> None:
-    if q > ENUM_LIMIT:
-        raise ValueError(f"modulus {q} too large to enumerate (limit {ENUM_LIMIT})")
-    if q % 2 == 0 or q < 3:
-        raise ValueError(f"modulus must be odd and >= 3, got {q}")
-    facs = factorize(q)
-    if any(e > 1 for e in facs.values()) or len(facs) > 2:
-        raise ValueError(f"modulus must be a prime or a product of two distinct primes, got {q}")
-
-
 def count_det_trace_bruteforce(q: int, d: int, t: int) -> int:
-    """Exhaustive count of matrices mod q with det = d (a unit) and trace = t."""
-    _check_enum_modulus(q)
+    """Exhaustive count of matrices mod q with det = d (a unit) and trace = t,
+    for q an odd prime or a product of two distinct odd primes."""
+    hist = det_trace_histogram(q)  # refuses q > ENUM_LIMIT before q is factored
+    facs = factorize(q)
+    if q % 2 == 0 or any(e > 1 for e in facs.values()) or len(facs) > 2:
+        raise ValueError(f"modulus must be an odd prime or two distinct odd primes' product, got {q}")
     check_unit(d, q)
-    return int(det_trace_histogram(q)[d % q, t % q])
+    return int(hist[d % q, t % q])
 
 
 def order_H_formula(q1: int, q2: int) -> int:
@@ -107,20 +101,17 @@ def class_ratio(q1: int, q2: int, d: int, s: int, t: int) -> Fraction:
     return Fraction(pair_class_count(q1, q2, d, s, t), order_H_formula(q1, q2))
 
 
-def verification_rows(
-    single_primes: tuple[int, ...] = (3, 5, 7, 11, 13),
-    prime_pairs: tuple[tuple[int, int], ...] = ((3, 5), (3, 7), (5, 7)),
-) -> list[list]:
+def verification_rows() -> list[list]:
     """Formula-vs-enumeration rows in the report schema (s empty for the
     single-matrix checks, filled for the pair-class checks)."""
     rows: list[list] = []
-    for q in single_primes:
+    for q in VERIFY_PRIMES:
         for d in range(1, q):
             for t in range(q):
                 f = count_det_trace_single(q, d, t)
                 b = count_det_trace_bruteforce(q, d, t)
                 rows.append([q, "", d, "", t, f, b, "true" if f == b else "false"])
-    for q1, q2 in prime_pairs:
+    for q1, q2 in VERIFY_PAIRS:
         n = q1 * q2
         for d in range(1, n):
             if math.gcd(d, n) != 1:

@@ -43,14 +43,24 @@ SIEVE_CSV_COLUMNS = [
     "bound_total",
 ]
 
+# The constant of the unconditional window choice `choose_z_uncond`.
+C3 = 1.0
+
 
 @dataclass(frozen=True)
 class SievePrimeSet:
     """The auxiliary window: all odd primes q with z/2 < q <= z (odd, so each
-    pair product q1q2 is an odd modulus; 3 <= z < 4 gives the window {3})."""
+    pair product q1q2 is an odd modulus; 3 <= z < 4 gives the window {3}).
+    An empty window is refused here, so every sieve shape may divide by P;
+    `build_prime_window` never builds one, as for z >= 3 Bertrand's
+    postulate puts an odd prime in (floor(z/2), z]."""
 
     z: float
     primes: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.primes:
+            raise ValueError(f"empty prime window at z={self.z}")
 
     @property
     def P(self) -> int:
@@ -193,8 +203,6 @@ def sieve_bound_v1(a: Multiset, window: SievePrimeSet) -> SieveReport:
     element to satisfy max(A) <= e^P.
     """
     p_count = window.P
-    if p_count == 0:
-        raise ValueError("empty prime window")
     # a Python int: an int64 compared with the float e^P would be rounded
     top = int(a.elements.max(initial=0))
     if p_count < 710 and top > math.exp(p_count):
@@ -214,8 +222,6 @@ def sieve_bound_v2(a: Multiset, window: SievePrimeSet) -> SieveReport:
     is asserted on every call.
     """
     p_count = window.P
-    if p_count == 0:
-        raise ValueError("empty prime window")
     sums, omega = _legendre_terms(a, window)
     rep = _report(
         2,
@@ -265,13 +271,11 @@ def choose_z_grh(x: float) -> float:
     return x ** (1 / 30) * math.log(x) ** (-1 / 15)
 
 
-def choose_z_uncond(x: float, c3: float = 1.0) -> float:
+def choose_z_uncond(x: float) -> float:
     """Window parameter for the unconditional bound:
-    c3 (log x)^(1/42) (log log x)^(-1/21)."""
+    C3 (log x)^(1/42) (log log x)^(-1/21), with the module constant C3."""
     check_bound_x(x)
-    if c3 <= 0:
-        raise ValueError(f"need c3 > 0, got {c3}")
-    return c3 * math.log(x) ** (1 / 42) * math.log(math.log(x)) ** (-1 / 21)
+    return C3 * math.log(x) ** (1 / 42) * math.log(math.log(x)) ** (-1 / 21)
 
 
 def check_bound_x(x: float) -> None:

@@ -202,6 +202,12 @@ def verify_sieve() -> tuple[bool, str]:
     )
 
 
+def print_result(ok: bool, msg: str) -> bool:
+    """Print a suite's PASS or FAIL line; return ok."""
+    print(("PASS " if ok else "FAIL ") + msg)
+    return ok
+
+
 def verify_all(out_dir: str | None = None) -> int:
     """Run every suite; print one line each; 0 iff all pass."""
     failures = 0
@@ -215,6 +221,5 @@ def verify_all(out_dir: str | None = None) -> int:
             ok, msg = fn()
         except Exception as e:  # an oracle disagreement raised inside a suite
             ok, msg = False, f"{name}: raised {e!r}"
-        print(("PASS " if ok else "FAIL ") + msg)
-        failures += not ok
+        failures += not print_result(ok, msg)
     return 1 if failures else 0

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frobmatch.arith import log_integral, primes_in
-from frobmatch.elliptic import CurveQ, quadratic_twist
+from frobmatch.elliptic import BSGS_MIN_PRIME, CurveQ, ap_stream, good_mask, quadratic_twist
 from frobmatch.frobenius import (
     CheboTable,
     FrobeniusFieldTag,
@@ -221,6 +221,16 @@ class TestScanPair:
             good = [p for p in primes if p > 3 and all(c.is_good(p) for c in curves)]
             assert good_primes(3000, *curves) == (good, [p for p in primes if p not in good])
         assert len(good_primes(3000, below, above)[1]) > 2  # some p >= 5 is bad
+        # the trace engine's lanes read the same mask, on int64 and object columns
+        pair = [below, above]
+        by_prime = [[c.is_good(p) for c in pair] for p in primes]
+        for col in (np.array(primes), np.array(primes, dtype=object)):
+            assert good_mask(pair, col).tolist() == by_prime
+        lanes = [p for p in good_primes(3000, *pair)[0] if p > BSGS_MIN_PRIME][:4]
+        assert np.array_equal(ap_stream(pair, lanes), naive_traces(pair, lanes))
+        bad = max(p for p in primes_in(0, 400_000) if not above.is_good(p))
+        with pytest.raises(ValueError, match="bad prime"):
+            ap_stream(pair, [bad])
 
     def test_rejects_tiny_x(self):
         with pytest.raises(ValueError):

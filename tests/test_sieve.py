@@ -40,6 +40,10 @@ class TestPrimeWindow:
         with pytest.raises(ValueError):
             build_prime_window(2.5)
 
+    def test_prime_set_refuses_no_primes(self):
+        with pytest.raises(ValueError):
+            SievePrimeSet(10.0, ())
+
     @pytest.mark.parametrize("z", [3, 3.5, 3.99])
     def test_odd_primes_only(self, z):
         # (z/2, z] holds 2 for z < 4; the window drops it
