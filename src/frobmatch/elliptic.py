@@ -8,7 +8,8 @@ Two routes are provided, an oracle and an engine that shares nothing with it:
   sampled from E and its quadratic twist at once (Shanks-Mestre, as in
   Cohen, A Course in Computational Algebraic Number Theory, Alg. 7.4.12),
   run in lockstep over a list of curves and a list of primes with one numpy
-  lane per (prime, curve); the lanes it does not settle go to `ap_naive`.
+  lane per cell of the (curves x primes) table it returns; the lanes it
+  does not settle go to `ap_naive`.
   It first reads a_p mod 2 off the cubic (a_p is even exactly when
   x^3 + Ax + B has a root mod p) and searches only the traces of that
   parity, the 2-torsion constraint of Kedlaya and Sutherland (Computing
@@ -27,7 +28,6 @@ counters downstream report which primes were excluded.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,11 +74,10 @@ class CurveQ:
 
 
 def good_mask(curves: list[CurveQ], col: np.ndarray) -> np.ndarray:
-    """The (len(col), len(curves)) bool table of `is_good`: True where the
+    """The (len(curves), len(col)) bool table of `is_good`: True where the
     prime col[i] does not divide 6*disc of curves[k].  col is int64 or
-    object; 6*disc of any size is reduced exactly.  It is the transpose of
-    the (curves x primes) table, so each curve's column is contiguous."""
-    return (_residues([6 * c.discriminant for c in curves], np.arange(len(curves))[:, None], col) != 0).T
+    object; 6*disc of any size is reduced exactly."""
+    return _residues([6 * c.discriminant for c in curves], np.arange(len(curves))[:, None], col) != 0
 
 
 def _require_good(curve: CurveQ, p: int) -> None:
@@ -116,7 +115,7 @@ def ap_naive(curve: CurveQ, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The lane kernel: the BSGS search for many (prime, curve) pairs at once, one
+# The lane kernel: the BSGS search for many (curve, prime) pairs at once, one
 # numpy lane each.  Points are homogeneous projective (X : Y : Z), one array per
 # coordinate; Z = 0 is the identity.  Every product is of two residues
 # already reduced mod p.
@@ -364,17 +363,6 @@ def _residues(v: list[int], which: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.remainder(np.array(v, dtype=object)[which], p.astype(object)).astype(p.dtype)
 
 
-def _batch_size(n_open: int, h_open: int, h_fresh: np.ndarray) -> int:
-    """How many of the new lanes, floor(2 sqrt(p)) = h_fresh, join n_open
-    lanes whose widest h is h_open, so that the tables stay within
-    LANE_CELLS cells; at least one when no lane is open."""
-    top = np.maximum(np.maximum.accumulate(h_fresh), h_open)
-    # a call's cells rise with its count n of new lanes, so bisection finds the largest n
-    counts = range(1, len(top) + 1)
-    n = bisect_right(counts, LANE_CELLS, key=lambda n: (n_open + n) * _rows(int(top[n - 1])))
-    return max(n, 0 if n_open else 1)
-
-
 def _lane_xpow(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> Lanes:
     """(c0, c1, c2) per lane with x^p = c0 + c1 x + c2 x^2 mod x^3 + ax + b
     and p, by square-and-multiply on the remainders (x^3 = -ax - b)."""
@@ -456,16 +444,21 @@ def _lane_round(
 
 
 def _lane_stream(curves: list[CurveQ], primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(traces, settled), two (len(primes), len(curves)) arrays: the kernel's
-    a_p where settled is True.
+    """(traces, settled), two (len(curves), len(primes)) arrays: the kernel's
+    a_p where settled is True; `ap_stream` returns `traces` itself.
 
-    The lanes are the pairs (p, curve) with p > BSGS_MIN_PRIME good for the
-    curve, ordered by prime and then by curve, and lane k is entry k of the
-    flattened arrays.  Each call of `_lane_round` takes the lanes still open
-    from the call before, each on its next round, and then as many new lanes
-    as keep its tables within LANE_CELLS cells, so only the last call of the
-    stream has fewer.  A lane still open after MAX_POINTS rounds stays
-    unsettled.
+    The lanes are the cells (k, i) with primes[i] > BSGS_MIN_PRIME good for
+    curves[k], fed to the kernel by prime and then by curve, so that a call
+    holds primes of about one size (by curve first, a call would span twice
+    the primes, and two curves to 2*10^5 would fill 8% more cells).  Each
+    call of `_lane_round` takes the lanes still open from the call before,
+    each on its next round, then as many new lanes as fit LANE_CELLS cells
+    at the widest Hasse interval among all its lanes: sized first at the
+    next new lane alone, the slice of new lanes shrinks until its own widest
+    interval fits.  So a call exceeds LANE_CELLS cells only with one lane
+    alone, and falls short only where the rows grow inside a slice it tried
+    or the new lanes run out.  A lane still open after MAX_POINTS rounds
+    stays unsettled.
     """
     C = len(curves)
     top = max(primes, default=0)
@@ -473,10 +466,10 @@ def _lane_stream(curves: list[CurveQ], primes: list[int]) -> tuple[np.ndarray, n
         raise ValueError(f"p={top} is not below 2^64, the limit of the lane kernel's sampler")
     dtype = np.int64 if top < LANE_MAX_PRIME else object
     col = np.array(primes, dtype=dtype)
-    good = np.zeros((len(col), C), bool)
+    good = np.zeros((C, len(col)), bool)
     above = col > BSGS_MIN_PRIME
-    good[above] = good_mask(curves, col[above])
-    lanes = np.flatnonzero(good)
+    good[:, above] = good_mask(curves, col[above])
+    lanes = np.flatnonzero(good.T)  # lane i*C + c is the cell (c, i)
     traces = np.zeros(good.shape, np.int64)
     settled = np.zeros(good.shape, bool)
     A, B = [c.A for c in curves], [c.B for c in curves]
@@ -485,22 +478,23 @@ def _lane_stream(curves: list[CurveQ], primes: list[int]) -> tuple[np.ndarray, n
     start = 0
     while start < lanes.size or open_.size:
         if start < lanes.size:
-            # no more new lanes than fit beside the next one alone
-            hmax = max(int(h.max(initial=0)), math.isqrt(4 * int(col[lanes[start] // C])))
-            fresh = lanes[start : start + max(1, LANE_CELLS // _rows(hmax) - open_.size)]
-            h_fresh = _hasse_radius(col[fresh // C])
-            n = _batch_size(open_.size, hmax, h_fresh)
-            fresh, h_fresh = fresh[:n], h_fresh[:n]
-            start += n
+            h_open = int(h.max(initial=0))
+            rows, need = 0, _rows(max(h_open, math.isqrt(4 * int(col[lanes[start] // C]))))
+            while need > rows:
+                rows = need
+                fresh = lanes[start : start + max(LANE_CELLS // rows - open_.size, 0 if open_.size else 1)]
+                h_fresh = _hasse_radius(col[fresh // C])
+                need = _rows(max(h_open, int(h_fresh.max(initial=0))))
+            start += fresh.size
             open_ = np.concatenate((open_, fresh))
             rnd = np.concatenate((rnd, np.zeros(fresh.size, np.int64)))
             h = np.concatenate((h, h_fresh))
         i, c = np.divmod(open_, C)
         p = col[i]
         t, resolved = _lane_round(p, _residues(A, c, p), _residues(B, c, p), h, rnd)
-        done = open_[resolved]
-        traces.flat[done] = t[resolved]
-        settled.flat[done] = True
+        done = c[resolved], i[resolved]
+        traces[done] = t[resolved]
+        settled[done] = True
         keep = ~resolved & (rnd < MAX_POINTS - 1)
         open_, rnd, h = open_[keep], rnd[keep] + 1, h[keep]
     return traces, settled
@@ -508,8 +502,9 @@ def _lane_stream(curves: list[CurveQ], primes: list[int]) -> tuple[np.ndarray, n
 
 def ap_stream(curves: list[CurveQ], primes: list[int]) -> np.ndarray:
     """The (len(curves), len(primes)) int64 table of `ap_naive`'s values,
-    row k holding curves[k]'s a_p at each prime, computed by `_lane_stream`
-    with one numpy lane per (prime, curve).
+    row k holding curves[k]'s a_p at each prime.  It is the table that
+    `_lane_stream` writes, one numpy lane per cell, with the cells it leaves
+    unsettled filled in place.
 
     The lanes are int64 when every prime is below LANE_MAX_PRIME and Python
     ints otherwise; the sampler hashes each prime as a uint64, so a prime at
@@ -520,9 +515,8 @@ def ap_stream(curves: list[CurveQ], primes: list[int]) -> np.ndarray:
     division per prime); their Euler check raises ValueError on most
     composites.
     """
-    traces, settled = _lane_stream(curves, primes)
-    table = np.ascontiguousarray(traces.T)
-    ks, cols = np.nonzero(~settled.T)  # row-major: curve by curve, in prime order
+    table, settled = _lane_stream(curves, primes)
+    ks, cols = np.nonzero(~settled)  # row-major: curve by curve, in prime order
     for k, i in zip(ks.tolist(), cols.tolist()):
         table[k, i] = ap_naive(curves[k], primes[i])
     return table

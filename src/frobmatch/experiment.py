@@ -5,12 +5,13 @@ artifacts.
 Traces travel as int64 columns: each curve's cache file is read as (p, a_p)
 columns, looked up by `searchsorted`, and handed to `scan_pair` as one
 (curves x primes) int64 trace table.  The primes missing from either
-curve's columns go through the lane kernel as one stream of (prime, curve)
-lanes.  With more than one worker they are cut into at most that many
-segments of about equal work, handed to one process pool (the kernel runs
-Python between its many numpy calls, so threads would contend for the
-interpreter lock); results are merged in segment order, so output is a
-function of the config alone, independent of worker count and cache state.
+curve's columns go through the lane kernel as one stream of lanes, one per
+cell of the (curves x primes) table it fills.  With more than one worker the
+primes are cut into at most that many segments of about equal work, handed
+to one process pool (the kernel runs Python between its many numpy calls,
+so threads would contend for the interpreter lock); results are merged in
+segment order, so output is a function of the config alone, independent of
+worker count and cache state.
 """
 
 from __future__ import annotations
@@ -96,10 +97,13 @@ def compute_traces(
     cached: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> np.ndarray:
     """The (len(curves), len(primes)) int64 table of a_p, reusing the
-    `cached` (p, a_p) columns, one pair per curve with p ascending.  The
-    primes missing from any curve's columns go to `ap_stream` with the curves
-    that miss some, as one stream or as at most `threads` segments in one
-    process pool; a fully cached call starts neither."""
+    `cached` (p, a_p) columns, one pair per curve with p ascending: a list
+    of any other length raises ValueError before any work.  The primes
+    missing from any curve's columns go to `ap_stream` with the curves that
+    miss some, as one stream or as at most `threads` segments in one process
+    pool; a fully cached call starts neither."""
+    if cached is not None and len(cached) != len(curves):
+        raise ValueError(f"{len(cached)} cached column pairs for {len(curves)} curves; need one per curve")
     traces = np.empty((len(curves), len(primes)), np.int64)
     if cached and any(len(cp) for cp, _ in cached):
         p = np.array(primes, dtype=np.int64)

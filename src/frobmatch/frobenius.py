@@ -86,7 +86,7 @@ def good_primes(x: int, *curves: CurveQ) -> tuple[list[int], list[int]]:
     if x < 5:
         raise ValueError(f"need x >= 5, got {x}")
     col = np.array(primes_in(0, x), dtype=np.int64)
-    good = (col >= 5) & good_mask(curves, col).all(axis=1)
+    good = (col >= 5) & good_mask(curves, col).all(axis=0)
     return col[good].tolist(), col[~good].tolist()
 
 

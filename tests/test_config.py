@@ -75,6 +75,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not an integer"):
             parse_config(MINIMAL.replace("x_max = 1000", "x_max = many"))
 
+    def test_x_max_below_five(self):
+        with pytest.raises(ConfigError, match="x_max must be >= 5"):
+            parse_config(MINIMAL.replace("x_max = 1000", "x_max = 4"))
+
+    def test_checkpoints_of_only_commas(self):
+        with pytest.raises(ConfigError, match="x_checkpoints is empty"):
+            parse_config(MINIMAL + "x_checkpoints = , ,,\n")
+
     def test_checkpoints_must_ascend(self):
         with pytest.raises(ConfigError, match="ascending"):
             parse_config(MINIMAL + "x_checkpoints = 1000, 100\n")

@@ -223,9 +223,9 @@ class TestScanPair:
         assert len(good_primes(3000, below, above)[1]) > 2  # some p >= 5 is bad
         # the trace engine's lanes read the same mask, on int64 and object columns
         pair = [below, above]
-        by_prime = [[c.is_good(p) for c in pair] for p in primes]
+        by_curve = [[c.is_good(p) for p in primes] for c in pair]
         for col in (np.array(primes), np.array(primes, dtype=object)):
-            assert good_mask(pair, col).tolist() == by_prime
+            assert good_mask(pair, col).tolist() == by_curve
         lanes = [p for p in good_primes(3000, *pair)[0] if p > BSGS_MIN_PRIME][:4]
         assert np.array_equal(ap_stream(pair, lanes), naive_traces(pair, lanes))
         bad = max(p for p in primes_in(0, 400_000) if not above.is_good(p))

@@ -286,6 +286,16 @@ class TestComputeTraces:
         expected[:5] = 0
         assert np.array_equal(traces[1], expected)
 
+    def test_cached_needs_one_pair_per_curve(self, monkeypatch):
+        # a short list would leave rows of the empty table unwritten, a long
+        # one index past the curves; both are refused before any trace work
+        monkeypatch.setattr(experiment, "ap_stream", lambda c, p: pytest.fail("trace work started"))
+        good, _ = good_primes(3000, E1, E2)
+        pair = (np.array(good), np.zeros(len(good), np.int64))
+        for curves, cached in (([E1, E2], [pair]), ([E1], [pair, pair]), ([E1], [])):
+            with pytest.raises(ValueError, match=f"{len(cached)} cached column pairs for {len(curves)} curves"):
+                compute_traces(curves, good, 1, cached)
+
     def test_experiment_opens_one_pool_only_on_a_cold_cache(self, tmp_path, monkeypatch, recording_pool):
         monkeypatch.setattr(experiment, "SEGMENT_MIN_PRIMES", 100)
         traced = []
@@ -655,6 +665,38 @@ class TestCli:
         assert cli.main(
             ["--threads", "1", "--out", str(tmp_path / "o"), "match-count", str(cfg)]
         ) == 0
+        capsys.readouterr()
+        assert cli.main(["--threads", "0", "--out", str(tmp_path / "o"), "match-count", str(cfg)]) == 2
+        assert "--threads must be positive, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken", [None, "false", "raise"])
+    def test_verify_all(self, tmp_path, capsys, monkeypatch, broken):
+        # the four suites stubbed: one line each in suite order, and a
+        # failing or raising suite gives exit 1 without stopping the rest
+        names = ("gl2", "charsum", "elliptic", "sieve")
+        ran = []
+
+        def stub(name):
+            def suite(*out_dir):
+                ran.append(name)
+                if name == "charsum" and broken == "raise":
+                    raise RuntimeError("boom")
+                return not (name == "charsum" and broken == "false"), f"{name} stub"
+
+            return suite
+
+        for name in names:
+            monkeypatch.setattr(verify, f"verify_{name}", stub(name))
+        code = cli.main(["--out", str(tmp_path), "verify-all"])
+        lines = capsys.readouterr().out.splitlines()
+        assert ran == list(names)
+        expected = [f"PASS {name} stub" for name in names]
+        if broken == "false":
+            expected[1] = "FAIL charsum stub"
+        elif broken == "raise":
+            expected[1] = "FAIL charsum: raised RuntimeError('boom')"
+        assert lines == expected
+        assert code == (0 if broken is None else 1)
 
 
 def _child(code: str, *args: str) -> subprocess.CompletedProcess:

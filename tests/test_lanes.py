@@ -304,6 +304,31 @@ class TestBatching:
         assert tail > 10 and lanes[:tail] == [full] * tail
         assert all(n >= m for n, m in zip(lanes[tail:], lanes[tail + 1 :]))
 
+    def test_calls_stay_within_the_cell_budget(self, monkeypatch):
+        # the rows are not monotone in floor(2 sqrt(p)): 15 rows up to 118,
+        # 17 from 119 and 16 from 127.  Sized at the widest prime of the
+        # lanes it may take, a call would hold the first two groups at 16
+        # rows, and its tables would have 17
+        curve = CurveQ(2, 3)
+        good, _ = good_primes(4500, curve)
+        bands = ((100, 118), (119, 126), (127, 132))
+        groups = [[p for p in good if lo <= math.isqrt(4 * p) <= hi] for lo, hi in bands]
+        primes = groups[0][:1] + groups[1] + groups[2]
+        assert [{elliptic._rows(math.isqrt(4 * p)) for p in g} for g in groups] == [{15}, {17}, {16}]
+        expected = ap_stream([curve], primes)
+        budget = 16 * (1 + len(groups[1]))
+        cells = []
+        real = elliptic._lane_round
+
+        def spy(p, a, b, h, rnd):
+            cells.append(len(p) * elliptic._rows(int(h.max())))
+            return real(p, a, b, h, rnd)
+
+        monkeypatch.setattr(elliptic, "_lane_round", spy)
+        monkeypatch.setattr(elliptic, "LANE_CELLS", budget)
+        assert np.array_equal(ap_stream([curve], primes), expected)
+        assert max(cells) <= budget
+
     def test_carried_lanes_equal_naive(self, monkeypatch):
         # as in TestFallback: with full 2-torsion and p < 34 some lanes stay
         # open, so later calls start with lanes carried from the one before

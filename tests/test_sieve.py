@@ -132,6 +132,8 @@ class TestMultiset:
             assert elem == (4 * p - a_p**2) * (4 * p - b_p**2)
             assert (math.isqrt(elem) ** 2 == elem) == matched
             assert elem <= 16 * x * x
+        with pytest.raises(ValueError, match="the scan stops at x=10000"):
+            curve_pair_multiset(scan, x + 1)
 
     def test_identical_curves_all_squares(self):
         a = curve_pair_multiset(scan_pair(E1, E1, 500, naive_traces), 500)
