@@ -117,18 +117,24 @@ def ap_naive(curve: CurveQ, p: int) -> int:
 # ---------------------------------------------------------------------------
 # The lane kernel: the BSGS search for many (curve, prime) pairs at once, one
 # numpy lane each.  Points are homogeneous projective (X : Y : Z), one array per
-# coordinate; Z = 0 is the identity.  Every product is of two residues
-# already reduced mod p.
+# coordinate; Z = 0 is the identity.
+#
+# The reductions mod p are over half of the kernel's time, and one costs about
+# 2.5 times as much on a dividend of random sign as on a nonnegative one (10.9
+# against 4.3 ns per int64 element).  So every input of a formula is a residue
+# in [0, p), and every `%` reduces one nonnegative sum of products of such
+# residues (a difference b - c is written b + p - c), with no term reduced on
+# its own.
 
-# Primes below this get int64 lanes: a product of two residues plus a few
-# more residues stays below 2^63 (p < 3.037e9).  A call with a prime at or
-# above it runs every lane on Python ints (numpy object arrays): exact, and
-# many times slower.
-LANE_MAX_PRIME = 3_030_000_000
+# Primes below this get int64 lanes: the largest sum the kernel reduces is
+# 5(p - 1)^2, on the c1 line of `_lane_xpow`, and it stays below 2^63
+# (p < 1,358,187,913).  A call with a prime at or above it runs every lane on
+# Python ints (numpy object arrays): exact, and many times slower.
+LANE_MAX_PRIME = math.isqrt(((1 << 63) - 1) // 5)
 
 # Table cells (rows x lanes) per kernel call.  The tables hold about
-# 2 p^(1/4) rows, as the search covers one parity of traces (43 at
-# p = 2*10^5, 112 at 10^7), so a call takes about 3,050 lanes at 2*10^5 and
+# 2 p^(1/4) rows, as the search covers one parity of traces (42 at
+# p = 2*10^5, 112 at 10^7), so a call takes about 3,120 lanes at 2*10^5 and
 # 1,170 at 10^7, and its memory, about 42 bytes per cell at its peak (by
 # tracemalloc on one call), stays the same at every p.  Each numpy call
 # costs about 1.5 us on top of its arithmetic, a fifth of a product mod p on
@@ -149,39 +155,45 @@ def _lane_dbl(P: Lanes, a: np.ndarray, p: np.ndarray) -> Lanes:
     X, Y, Z = P
     xx = X * X % p
     w = (a * (Z * Z % p) + 3 * xx) % p
-    s = 2 * (Y * Z % p) % p
+    s = 2 * (Y * Z % p)  # below 2p, as is xr
     r = Y * s % p
     rr = r * r % p
-    xr = (X + r) % p
-    b = (xr * xr - xx - rr) % p
-    h = (w * w - 2 * b) % p
-    return h * s % p, (w * ((b - h) % p) - 2 * rr) % p, s * (s * s % p) % p
+    xr = X + r
+    b = (xr * xr + 2 * p - xx - rr) % p
+    h = (w * w + 2 * p - 2 * b) % p
+    return h * s % p, (w * (b - h + p) + 2 * p - 2 * rr) % p, s * (s * s % p) % p
 
 
-def _lane_add(P: Lanes, Q: Lanes, a: np.ndarray, p: np.ndarray, affine: bool = False) -> Lanes:
-    """P + Q (add-1998-cmo-2), complete: P + (-P) gives Z = 0 from the formula
-    itself, and the few lanes with P = Q or an identity operand are redone
-    apart (doubling, or the other operand).  affine=True says that Q's Z is 1
-    on every lane, and skips the products by it."""
+def _lane_add(
+    P: Lanes, Q: Lanes, a: np.ndarray, p: np.ndarray, affine: bool = False, fix: np.ndarray | bool = True
+) -> Lanes:
+    """P + Q (add-1998-cmo-2).  P + (-P) gives Z = 0 from the formula itself;
+    the few lanes in `fix` (a mask, or True for all, False for none) with
+    P = Q or an identity operand are redone apart (doubling, or the other
+    operand), and on the other lanes those cases give garbage residues.
+    affine=True says that Q's Z is 1 on every lane, and skips the products by
+    it."""
     X1, Y1, Z1 = P
     X2, Y2, Z2 = Q
     if affine:
         y1z2, x1z2, z1z2 = Y1, X1, Z1
     else:
         y1z2, x1z2, z1z2 = Y1 * Z2 % p, X1 * Z2 % p, Z1 * Z2 % p
-    u = (Y2 * Z1 - y1z2) % p
-    v = (X2 * Z1 - x1z2) % p
+    u = (Y2 * Z1 + p - y1z2) % p
+    v = (X2 * Z1 + p - x1z2) % p
     vv = v * v % p
     vvv = v * vv % p
     r = vv * x1z2 % p
-    c = (u * u % p * z1z2 - vvv - 2 * r) % p
+    c = ((u * u % p) * z1z2 + 3 * p - vvv - 2 * r) % p
     X3 = v * c % p
-    Y3 = (u * ((r - c) % p) - vvv * y1z2) % p  # a difference of two products < p^2
+    Y3 = (u * (r - c + p) + vvv * (p - y1z2)) % p
     Z3 = vvv * z1z2 % p
+    if fix is False:
+        return X3, Y3, Z3
     special = (v == 0) | (Z1 == 0)
     if not affine:
         special |= Z2 == 0
-    i = np.flatnonzero(special)
+    i = np.flatnonzero(special & fix)
     if i.size:
         inf1, inf2 = Z1[i] == 0, Z2[i] == 0
         same = i[(u[i] == 0) & (v[i] == 0) & ~inf1 & ~inf2]
@@ -192,9 +204,10 @@ def _lane_add(P: Lanes, Q: Lanes, a: np.ndarray, p: np.ndarray, affine: bool = F
     return X3, Y3, Z3
 
 
-def _lane_mul(n: np.ndarray, table: Lanes, a: np.ndarray, p: np.ndarray) -> Lanes:
+def _lane_mul(n: np.ndarray, table: Lanes, a: np.ndarray, p: np.ndarray, fix: np.ndarray) -> Lanes:
     """n_i P_i for positive scalars n_i, where row e - 1 of each (rows, lanes)
-    table holds eP: by w-bit windows, the largest w with 2^w - 1 <= rows."""
+    table holds eP: by w-bit windows, the largest w with 2^w - 1 <= rows.
+    Its additions redo the special cases on the lanes in `fix` alone."""
     X, Y, Z = table
     w = (len(X) + 1).bit_length() - 1
     lane = np.arange(len(p))
@@ -209,7 +222,7 @@ def _lane_mul(n: np.ndarray, table: Lanes, a: np.ndarray, p: np.ndarray) -> Lane
             continue
         for _ in range(w):
             R = _lane_dbl(R, a, p)
-        R = _lane_add(R, T, a, p)
+        R = _lane_add(R, T, a, p, fix=fix)
     return R
 
 
@@ -222,18 +235,26 @@ def _lane_pow(b: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     return r
 
 
-def _lane_invert(Z: np.ndarray, p: np.ndarray) -> None:
+def _lane_invert(Z: np.ndarray, p: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Replace each entry of a (rows, lanes) table without zeros by its
     inverse mod p, through Montgomery's simultaneous inversion along the rows
-    (Math. Comp. 48, 1987): one Fermat inverse per lane."""
+    (Math. Comp. 48, 1987), and return Euler's criterion f^((p-1)/2) per lane
+    from the same exponentiation: with A the product of a lane's column and
+    u = A^2 f, r = u^((p-3)/2) gives r u = f^((p-1)/2) and, where f != 0,
+    1/A = r (r u) A f.  The lanes with f = 0 get 0 and garbage inverses."""
     acc = np.empty_like(Z)  # acc[i] = Z[0] Z[1] ... Z[i]
     acc[0] = Z[0]
     for i in range(1, len(Z)):
         acc[i] = acc[i - 1] * Z[i] % p
-    inv = _lane_pow(acc[-1], p - 2, p)
+    af = acc[-1] * f % p
+    u = acc[-1] * af % p
+    r = _lane_pow(u, (p - 3) // 2, p)
+    euler = r * u % p
+    inv = r * euler % p * af % p
     for i in range(len(Z) - 1, 0, -1):
         inv, Z[i] = inv * Z[i] % p, inv * acc[i - 1] % p  # 1/(Z[0]..Z[i-1]), 1/Z[i]
     Z[0] = inv
+    return euler
 
 
 def _splitmix(z: np.ndarray) -> np.ndarray:
@@ -244,30 +265,49 @@ def _splitmix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _lane_tables(P: Lanes, T: Lanes, n: np.ndarray, a: np.ndarray, p: np.ndarray, s: int, K: int):
-    """(X, Y, Z, inf): tables of shape (s + 2K + 1, lanes), for P with Z = 1
-    on every lane.  Row e holds (e + 1)P for e < s, row s + i holds
-    Q - (i - K)(2s + 1)P with Q = nP + T; X is the affine x, Y stays
-    projective, Z holds 1/Z, and inf marks O."""
+def _lane_tables(P: Lanes, T: Lanes, n: np.ndarray, a: np.ndarray, p: np.ndarray, f: np.ndarray, s: int, K: int):
+    """(X, Y, Z, inf, small, u, euler): tables of shape (s + 2K + 1, lanes),
+    for P with Z = 1 on every lane.  Row e holds (e + 1)P for e < s, row
+    s + i holds Q - (i - K)D with Q = nP + T and D = (2s + 1)P; X is the
+    affine x, Z holds the inverse of the Z each row was stored with, and inf
+    marks O.  small marks the lanes whose baby rows hold an O or a y = 0, or
+    whose D is O: the order of P is then at most 2s or divides 2s + 1, and
+    the lane cannot settle.  euler is Euler's criterion of f, from
+    `_lane_invert`.
+
+    The additions that make the baby rows and D meet P = Q or an identity
+    only where P has order at most 2s + 1, on lanes that cannot settle, so
+    they redo no special case; the later ones redo them on the lanes not in
+    small alone.  The giant steps add the affine point -D of the curve
+    y^2 = x^3 + u^4 a x + ..., onto which (x, y) -> (u^2 x, u^3 y) maps the
+    lane's curve, with u the Z of D.  A giant row is stored with Z u^2, so
+    that its X/Z is the x on the lane's curve and its Y/Z is u y."""
     X, Y, Z = (np.empty((s + 2 * K + 1, len(p)), p.dtype) for _ in range(3))
     R = P
     for e in range(s):
         if e:
-            R = _lane_dbl(P, a, p) if e == 1 else _lane_add(R, P, a, p, affine=True)
+            R = _lane_dbl(P, a, p) if e == 1 else _lane_add(R, P, a, p, affine=True, fix=False)
         X[e], Y[e], Z[e] = R
-    D = _lane_add(_lane_dbl(R, a, p), P, a, p, affine=True)  # (2s+1)P
-    minus_D = (D[0], (p - D[1]) % p, D[2])
-    R = _lane_add(_lane_mul(n + K * (2 * s + 1), (X[:s], Y[:s], Z[:s]), a, p), T, a, p)
+    Xd, Yd, u = _lane_add(_lane_dbl(R, a, p), P, a, p, affine=True, fix=False)
+    small = (Z[:s] == 0).any(axis=0) | (Y[:s] == 0).any(axis=0) | (u == 0)
+    settle = ~small
+    R = _lane_add(_lane_mul(n + K * (2 * s + 1), (X[:s], Y[:s], Z[:s]), a, p, settle), T, a, p, fix=settle)
+    uu = u * u % p
+    R = (uu * R[0] % p, uu * u % p * R[1] % p, R[2])
+    minus_D = (u * Xd % p, uu * (p - Yd) % p, np.ones_like(p))
+    au = a * (uu * uu % p) % p
     for i in range(2 * K + 1):
         if i:
-            R = _lane_add(R, minus_D, a, p)
+            R = _lane_add(R, minus_D, au, p, affine=True, fix=settle)
         X[s + i], Y[s + i], Z[s + i] = R
+    Z[s:] *= uu
+    Z[s:] %= p
     inf = Z == 0
     Z[inf] = 1  # identities stay out of the inversion
-    _lane_invert(Z, p)
+    euler = _lane_invert(Z, p, f)
     X *= Z
     X %= p
-    return X, Y, Z, inf
+    return X, Y, Z, inf, small, u, euler
 
 
 def _lane_match(
@@ -275,6 +315,8 @@ def _lane_match(
     Y: np.ndarray,
     Z: np.ndarray,
     inf: np.ndarray,
+    small: np.ndarray,
+    scale: np.ndarray,
     s: int,
     K: int,
     p: np.ndarray,
@@ -283,17 +325,19 @@ def _lane_match(
 ):
     """(t, count) per lane from `_lane_tables` on P2 = 2P and Q = (p+1-t0)P:
     count is the number of t = t0 + 2k in [-h, h] with kP2 = Q, that is with
-    tP = (p+1)P, and t is one of them; count = -1 when P2 has order <= 2s
-    (when s <= h/2, several t fit then anyway).  Overwrites X.
+    tP = (p+1)P, and t is one of them; count = -1 on the lanes in small and
+    those whose baby rows repeat an x, where P2 has order <= 2s or divides
+    2s + 1 (several t fit then anyway).  Overwrites X and small.
 
     eP2 (e <= s) is O, has y = 0 or repeats an x exactly when P2 has order
     <= 2s.  Otherwise the 2s + 1 points jP2 (|j| <= s) are distinct, so each
     giant point is at most one of them: an x match, with the sign of y
-    (Y/Z, formed at the hits alone) deciding the sign of j, or O for j = 0.
+    deciding the sign of j, or O for j = 0.  y is formed at the hits alone:
+    Y/Z on the giant side, which `_lane_tables` leaves scale = u times y,
+    and scale Y/Z on the baby side.
     """
     step = 2 * s + 1
     L = X.shape[1]
-    small = inf[:s].any(axis=0) | (Y[:s] == 0).any(axis=0)
     # match keys lane | x | row, with x in xbits and row in rbits bits; no
     # residue x < p is 2^xbits - 1, so identities match nothing
     xbits, rbits = int(p.max()).bit_length(), len(X).bit_length()
@@ -320,7 +364,7 @@ def _lane_match(
     lane = (keys[hit] >> xbits).astype(np.intp)
     g, e = row[hit], row[start[hit]]  # giant row; baby row e holds (e + 1)P2
     q = p[lane]
-    j = np.where(Y[g, lane] * Z[g, lane] % q == Y[e, lane] * Z[e, lane] % q, e + 1, -e - 1)
+    j = np.where(Y[g, lane] * Z[g, lane] % q == scale[lane] * Y[e, lane] % q * Z[e, lane] % q, e + 1, -e - 1)
     rows, zero_lanes = np.nonzero(inf[s:])
     lanes = np.concatenate((lane, zero_lanes))
     k = np.concatenate(((g - s - K) * step + j, (rows - K) * step))
@@ -337,10 +381,21 @@ def _lane_match(
 def _table_shape(hmax: int) -> tuple[int, int]:
     """(s, K) for a batch whose widest Hasse interval is [-hmax, hmax]: its
     traces of one parity t0 + 2k have |k| <= H = ceil(hmax / 2), and s baby
-    steps and 2K + 1 giant steps of 2s + 1 cover those k, in s + 2K + 1 rows."""
-    H = (hmax + 1) // 2
-    s = math.isqrt(H) + 1
-    return s, max(0, -(-(H - s) // (2 * s + 1)))
+    steps and 2K + 1 giant steps of 2s + 1 cover those k, in s + 2K + 1 rows,
+    exactly when (2K + 1)(2s + 1) >= 2H + 1.  s is the one with the fewest
+    rows, the larger on a tie, so the rows never fall as hmax grows.  The rows
+    lie within 2 above s + (2H + 1)/(2s + 1), which is convex and least near
+    sqrt(H), and an s farther than w from isqrt(H) is more than 2 above that
+    least value."""
+    c = 2 * ((hmax + 1) // 2) + 1
+    r = math.isqrt(c // 2)
+    w = math.isqrt(2 * r + 4) + 3
+    rows = None
+    for s in range(max(1, r - w), r + w + 1):
+        giant = -(-c // (2 * s + 1)) | 1  # the least odd 2K + 1 that covers
+        if rows is None or s + giant <= rows:
+            rows, best = s + giant, (s, giant // 2)
+    return best
 
 
 def _rows(hmax: int) -> int:
@@ -357,26 +412,33 @@ def _hasse_radius(p: np.ndarray) -> np.ndarray:
 
 def _residues(v: list[int], which: np.ndarray, p: np.ndarray) -> np.ndarray:
     """v[which] mod p elementwise (broadcast), in p's dtype, for Python ints
-    v of any size: int64 arithmetic when v and p fit it, Python ints if not."""
-    if p.dtype != object and all(-(1 << 63) <= x < 1 << 63 for x in v):
-        return np.remainder(np.array(v, dtype=np.int64)[which], p)
-    return np.remainder(np.array(v, dtype=object)[which], p.astype(object)).astype(p.dtype)
+    v of any size: on int64 p, int64 arithmetic for the values that fit it
+    and Python ints for each one that does not."""
+    if p.dtype == object:
+        return np.remainder(np.array(v, dtype=object)[which], p)
+    fits = [-(1 << 63) <= x < 1 << 63 for x in v]
+    out = np.remainder(np.array([x if ok else 0 for x, ok in zip(v, fits)], np.int64)[which], p)
+    for k in (k for k, ok in enumerate(fits) if not ok):
+        cells = np.broadcast_to(which == k, out.shape)
+        out[cells] = np.remainder(v[k], np.broadcast_to(p, out.shape)[cells].astype(object))
+    return out
 
 
 def _lane_xpow(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> Lanes:
     """(c0, c1, c2) per lane with x^p = c0 + c1 x + c2 x^2 mod x^3 + ax + b
     and p, by square-and-multiply on the remainders (x^3 = -ax - b)."""
+    na, nb = (p - a) % p, (p - b) % p
     c0, c1, c2 = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
-        u = 2 * (c1 * c2 % p) % p  # the x^3 coefficient of the square
+        u = 2 * (c1 * c2 % p)  # the x^3 coefficient of the square, below 2p
         v = c2 * c2 % p  # its x^4 coefficient
         c0, c1, c2 = (
-            (c0 * c0 - u * b) % p,
-            (2 * (c0 * c1 % p) - u * a % p - v * b) % p,
-            (c1 * c1 - v * a + 2 * (c0 * c2 % p)) % p,
+            (c0 * c0 + u * nb) % p,
+            (2 * c0 * c1 + u * na + v * nb) % p,  # below 5p^2, the kernel's largest sum
+            (c1 * c1 + v * na + 2 * c0 * c2) % p,
         )
         odd = (p >> bit) & 1 == 1
-        c0, c1, c2 = np.where(odd, -b * c2 % p, c0), np.where(odd, (c0 - a * c2) % p, c1), np.where(odd, c1, c2)
+        c0, c1, c2 = np.where(odd, c2 * nb % p, c0), np.where(odd, (c0 + c2 * na) % p, c1), np.where(odd, c1, c2)
     return c0, c1, c2
 
 
@@ -389,7 +451,7 @@ def _lane_parity(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     when a square, none or three, and three exactly when x^p = x mod the
     cubic.  Its twist by f has the roots f*root, so the trace -a_p of the
     twist has the same parity."""
-    disc = -(4 * (a * a % p * a % p) + 27 * (b * b % p)) % p
+    disc = (4 * (p - a * a % p * a % p) + 27 * (p - b * b % p)) % p
     odd = np.zeros(len(p), np.int64)
     i = np.flatnonzero(_lane_pow(disc, (p - 1) // 2, p) == 1)
     if i.size:
@@ -407,9 +469,11 @@ def _lane_round(
 
     For f = x^3 + ax + b != 0 the point P = (xf, f^2) lies on
     y^2 = x^3 + a f^2 x + b f^3, which is E when f is a square and its
-    quadratic twist when it is not (Euler's criterion tells which), so no
-    square root is needed.  x is a hash of (a, b, p, rnd) alone, so a lane's
-    point does not depend on the batch around it.
+    quadratic twist when it is not, so no square root is needed.  Euler's
+    criterion tells which; it comes out of the tables' inversion, so the
+    check that p is prime (a criterion other than 0 or +-1) runs after the
+    tables.  x is a hash of (a, b, p, rnd) alone, so a lane's point does not
+    depend on the batch around it.
 
     Only traces t = t0 + 2k of the parity t0 of a_p (`_lane_parity`) are
     searched, on P2 = 2P: tP = (p+1)P exactly when kP2 = Q with
@@ -425,11 +489,6 @@ def _lane_round(
     z = _splitmix(_splitmix(_splitmix(u64) ^ a.astype(np.uint64)) ^ b.astype(np.uint64))
     x = (_splitmix(z + rnd.astype(np.uint64)) % u64).astype(p.dtype)
     f = (x * x % p * x + a * x % p + b) % p
-    euler = _lane_pow(f, (p - 1) // 2, p)
-    composite = (f != 0) & (euler != 1) & (euler != p - 1)
-    if composite.any():
-        q = int(p[composite][0])
-        raise ValueError(f"p={q} is not prime: Euler's criterion fails")
     t0 = _lane_parity(p, a, b)
     xf, ff = x * f % p, f * f % p
     af = a * ff % p
@@ -438,8 +497,12 @@ def _lane_round(
     P2 = (X2 * u % p, Y2 * uu % p, np.ones_like(p))
     T = (xf * uu % p, ff * (uu * u % p) % p, t0.astype(p.dtype))  # P where t0 = 1, O where 0
     s, K = _table_shape(int(h.max()))
-    X, Y, Z, inf = _lane_tables(P2, T, (p + 1) // 2 - t0, af * (uu * uu % p) % p, p, s, K)
-    t, count = _lane_match(X, Y, Z, inf, s, K, p, h, t0)
+    X, Y, Z, inf, small, scale, euler = _lane_tables(P2, T, (p + 1) // 2 - t0, af * (uu * uu % p) % p, p, f, s, K)
+    composite = (f != 0) & (euler != 1) & (euler != p - 1)
+    if composite.any():
+        q = int(p[composite][0])
+        raise ValueError(f"p={q} is not prime: Euler's criterion fails")
+    t, count = _lane_match(X, Y, Z, inf, small, scale, s, K, p, h, t0)
     return np.where(euler == 1, t, -t), (count == 1) & (f != 0)
 
 
@@ -512,7 +575,8 @@ def ap_stream(curves: list[CurveQ], primes: list[int]) -> np.ndarray:
     BSGS_MIN_PRIME and lanes still open after MAX_POINTS rounds are computed
     by `ap_naive`, curve by curve in prime order; so are bad primes, which it
     rejects with ValueError.  Lanes do not test primality (that needs trial
-    division per prime); their Euler check raises ValueError on most
+    division per prime); their Euler check, which the tables' inversion
+    yields and which runs after the tables, raises ValueError on most
     composites.
     """
     table, settled = _lane_stream(curves, primes)

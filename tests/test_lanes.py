@@ -1,9 +1,10 @@
 """The lane kernel `ap_stream`, one curve or several, against `ap_naive` and
 a group-law certificate, its parity test against `ap_naive` and the cubic's
 roots, the share of lanes its first point settles, the shape of its trace
-table, its int64 and 2^64 limits and its Python-int lanes between them, its
-batching and segments and its `ap_naive` fallback; and the prime check of the
-one-prime entry points."""
+table, its primitives against scalar twins at the int64 edge, its int64 and
+2^64 limits and its Python-int lanes between them, its table shapes, its
+batching and segments, its residues of coefficients of any size and its
+`ap_naive` fallback; and the prime check of the one-prime entry points."""
 
 import math
 import random
@@ -23,9 +24,9 @@ SAMPLE_CURVES = (CurveQ(2, 3), CurveQ(0, 1), CurveQ(1, 0))  # the last two CM
 # Two pairs of TEST_CURVES for the stream; the second has the CM curve y^2 = x^3 + 1.
 STREAM_PAIRS = ((CurveQ(2, 3), CurveQ(5, 7)), (CurveQ(0, 1), CurveQ(-4, 4)))
 
-# The first three primes at or above LANE_MAX_PRIME and their traces on
-# CurveQ(2, 3), cross-checked with an independent scalar BSGS search
-# (Cohen, Alg. 7.4.12).
+# Three primes above LANE_MAX_PRIME (the first at or above 3.03*10^9) and
+# their traces on CurveQ(2, 3), cross-checked with an independent scalar
+# BSGS search (Cohen, Alg. 7.4.12).
 ABOVE_LIMIT = {3030000073: 43482, 3030000097: 14542, 3030000121: 646}
 
 
@@ -102,6 +103,152 @@ def _assert_certified(curve, p, t):
         n = p + 1 - t if pow(f, (p - 1) // 2, p) == 1 else p + 1 + t
         assert _ec_mul(n, (u, v), af, p) is None, f"{n} P != O at p={p}, t={t}"
         done += 1
+
+
+def _scaled(P, lam, p):
+    """The affine point P (None for O) as projective (X, Y, Z) with Z = lam;
+    O as (p - 1, p - 1, 0)."""
+    if P is None:
+        return p - 1, p - 1, 0
+    return P[0] * lam % p, P[1] * lam % p, lam
+
+
+def _scales(P, p, rng):
+    """Projective scales of P that put p - 1 in each of its coordinates, and
+    one random scale."""
+    out = [p - 1, rng.randrange(1, p)]
+    if P is not None:
+        out += [-pow(c, -1, p) % p for c in P if c]
+    return out
+
+
+def _edge_cases(p, rng):
+    """(a, P, Q) triples at the prime p, P and Q on one curve
+    y^2 = x^3 + ax + b (b is implied): generic sums, P = Q, P = -Q and
+    identity operands, with a, x or y equal to p - 1 among them."""
+    cases = []
+    for a in (p - 1, rng.randrange(p)):
+        for base in ((p - 1, rng.randrange(1, p)), (rng.randrange(p), p - 1), (rng.randrange(p), rng.randrange(1, p))):
+            for P in (_ec_mul(rng.randrange(2, p), base, a, p), base, (base[0], p - base[1]), None):
+                cases += [(a, P, base), (a, base, P)]
+        cases.append((a, None, None))
+    return cases
+
+
+def _affine_of(X, Y, Z, p):
+    if Z == 0:
+        return None
+    zi = pow(Z, -1, p)
+    return X * zi % p, Y * zi % p
+
+
+def _xpow_scalar(p, a, b):
+    """x^p mod (x^3 + ax + b, p) as [c0, c1, c2], by square-and-multiply on
+    Python-int polynomials."""
+
+    def mul(f, g):
+        c = [0] * 5
+        for i, fi in enumerate(f):
+            for j, gj in enumerate(g):
+                c[i + j] += fi * gj
+        for d in (4, 3):  # x^d = x^(d - 3) (-ax - b)
+            c[d - 2] -= a * c[d]
+            c[d - 3] -= b * c[d]
+        return [v % p for v in c[:3]]
+
+    r, x = [1, 0, 0], [0, 1, 0]
+    for bit in bin(p)[2:]:
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, x)
+    return r
+
+
+def _edge_primes():
+    """The three largest primes below LANE_MAX_PRIME, on int64 lanes, and the
+    first three at or above it, on Python-int lanes."""
+    below = [p for p in range(LANE_MAX_PRIME - 1, LANE_MAX_PRIME - 300, -1) if is_prime(p)][:3]
+    above = [p for p in range(LANE_MAX_PRIME, LANE_MAX_PRIME + 300) if is_prime(p)][:3]
+    return [(below, np.int64), (above, object)]
+
+
+class TestPrimitivesAtTheEdge:
+    """The kernel's point and field primitives against scalar twins that share
+    no code with them, at the largest primes of the int64 lanes, with p - 1 in
+    every operand; numpy does not warn when int64 wraps, so these are the
+    guard on LANE_MAX_PRIME.  The same cases run on Python-int lanes."""
+
+    @staticmethod
+    def _lanes(rows, dtype):
+        return tuple(np.array(col, dtype=dtype) for col in zip(*rows))
+
+    @pytest.mark.parametrize("affine", [False, True], ids=["projective", "affine"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["int64", "python-int"])
+    def test_add(self, which, affine):
+        primes, dtype = _edge_primes()[which]
+        rng = random.Random(f"add:{which}")
+        rows, expected = [], []
+        for p in primes:
+            for a, P, Q in _edge_cases(p, rng):
+                if affine and Q is None:
+                    continue
+                for lam in _scales(P, p, rng):
+                    mu = 1 if affine else rng.choice(_scales(Q, p, rng))
+                    rows.append((p, a, *_scaled(P, lam, p), *_scaled(Q, mu, p)))
+                    expected.append(_ec_add(P, Q, a, p))
+        p, a, X1, Y1, Z1, X2, Y2, Z2 = self._lanes(rows, dtype)
+        for col in (a, X1, Y1, Z1, X2, Y2) + (() if affine else (Z2,)):
+            assert all(((p == q) & (col == q - 1)).any() for q in primes)
+        out = elliptic._lane_add((X1, Y1, Z1), (X2, Y2, Z2), a, p, affine=affine)
+        for k, (q, want) in enumerate(zip(p.tolist(), expected)):
+            X3, Y3, Z3 = (int(c[k]) for c in out)
+            assert all(0 <= c < q for c in (X3, Y3, Z3))
+            assert _affine_of(X3, Y3, Z3, q) == want, (k, rows[k])
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["int64", "python-int"])
+    def test_dbl(self, which):
+        primes, dtype = _edge_primes()[which]
+        rng = random.Random(f"dbl:{which}")
+        rows, expected = [], []
+        for p in primes:
+            points = [P for _, P, _ in _edge_cases(p, rng)] + [(p - 1, 0), (rng.randrange(p), 0)]
+            for a in (p - 1, rng.randrange(p)):
+                for P in points:
+                    for lam in _scales(P, p, rng):
+                        rows.append((p, a, *_scaled(P, lam, p)))
+                        expected.append(_ec_add(P, P, a, p))
+        p, a, X, Y, Z = self._lanes(rows, dtype)
+        out = elliptic._lane_dbl((X, Y, Z), a, p)
+        for k, (q, want) in enumerate(zip(p.tolist(), expected)):
+            X3, Y3, Z3 = (int(c[k]) for c in out)
+            assert all(0 <= c < q for c in (X3, Y3, Z3))
+            assert _affine_of(X3, Y3, Z3, q) == want, (k, rows[k])
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["int64", "python-int"])
+    def test_xpow(self, which):
+        primes, dtype = _edge_primes()[which]
+        rng = random.Random(f"xpow:{which}")
+        rows = [(p, a, b) for p in primes for a in (0, p - 1, rng.randrange(p)) for b in (0, p - 1, rng.randrange(p))]
+        p, a, b = self._lanes(rows, dtype)
+        got = np.stack(elliptic._lane_xpow(p, a, b), axis=1).tolist()
+        assert got == [_xpow_scalar(*row) for row in rows]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["int64", "python-int"])
+    def test_invert(self, which):
+        primes, dtype = _edge_primes()[which]
+        rng = random.Random(f"invert:{which}")
+        lanes = [(p, f) for p in primes for f in (0, 1, p - 1, rng.randrange(1, p), rng.randrange(1, p))]
+        p = np.array([q for q, _ in lanes], dtype=dtype)
+        f = np.array([v for _, v in lanes], dtype=dtype)
+        # 7 rows of nonzero residues, with p - 1 in a different row on each lane
+        rows = [[q - 1 if i == k % 7 else rng.randrange(1, q) for k, (q, _) in enumerate(lanes)] for i in range(7)]
+        Z = np.array(rows, dtype=dtype)
+        inv = Z.copy()
+        euler = elliptic._lane_invert(inv, p, f)
+        assert euler.tolist() == [pow(v, (q - 1) // 2, q) for q, v in lanes]
+        for k, (q, v) in enumerate(lanes):
+            if v:
+                assert [int(z) * int(i) % q for z, i in zip(Z[:, k], inv[:, k])] == [1] * 7
 
 
 class TestCertificate:
@@ -212,8 +359,8 @@ class TestAgreement:
 
 class TestInt64Limit:
     def test_resolves_primes_just_below_the_limit(self, naive_calls):
-        # products of two residues come within 1% of 2^63 here, so one
-        # unreduced product such as 2*Y*Z wraps and leaves the lane unresolved
+        # the kernel's largest sum, 5p^2 on the c1 line of _lane_xpow, comes
+        # within 10^-6 of 2^63 here, so a sum one product larger would wrap
         primes = [p for p in range(LANE_MAX_PRIME - 1, LANE_MAX_PRIME - 200, -1) if is_prime(p)][:3]
         curve = CurveQ(2, 3)
         lanes = ap_stream([curve], primes)[0].tolist()
@@ -223,8 +370,9 @@ class TestInt64Limit:
         assert lanes == [ap_bsgs(curve, p) for p in primes]
 
     def test_primes_above_the_limit_are_settled_in_the_kernel(self, monkeypatch, naive_calls):
-        primes = [p for p in range(LANE_MAX_PRIME, LANE_MAX_PRIME + 200) if is_prime(p)][:3]
-        assert primes == list(ABOVE_LIMIT)
+        # the first primes at or above the limit, and the recorded ones far above it
+        first = [p for p in range(LANE_MAX_PRIME, LANE_MAX_PRIME + 200) if is_prime(p)][:3]
+        primes = first + list(ABOVE_LIMIT)
         rounds = []
         real = elliptic._lane_round
         monkeypatch.setattr(elliptic, "_lane_round", lambda p, *rest: rounds.append(p) or real(p, *rest))
@@ -232,12 +380,12 @@ class TestInt64Limit:
         lanes = ap_stream([curve], primes)[0].tolist()
         assert rounds[0].dtype == object and rounds[0].tolist() == primes
         assert naive_calls == []
-        assert lanes == list(ABOVE_LIMIT.values())
+        assert lanes[len(first) :] == list(ABOVE_LIMIT.values())
         for p, t in zip(primes, lanes):
             _assert_certified(curve, p, t)
 
     def test_match_keys_fit_int64_at_every_batch_shape(self):
-        # lane | x | row: x < 2^32 below LANE_MAX_PRIME, and a batch holds
+        # lane | x | row: x < 2^31 below LANE_MAX_PRIME, and a batch holds
         # LANE_CELLS // rows lanes (one when a lane alone is wider)
         widest = elliptic._rows(math.isqrt(4 * LANE_MAX_PRIME))
         for rows in range(2, widest + 1):
@@ -248,7 +396,8 @@ class TestInt64Limit:
         X = np.zeros((3, 2), np.int64)
         p = np.array([(1 << 61) + 1, 7])
         with pytest.raises(OverflowError, match="do not fit int64"):
-            elliptic._lane_match(X, X.copy(), X.copy(), X == 1, 1, 1, p, np.ones(2, np.int64), np.zeros(2, np.int64))
+            no, one = np.zeros(2, bool), np.ones(2, np.int64)
+            elliptic._lane_match(X, X.copy(), X.copy(), X == 1, no, one, 1, 1, p, one, np.zeros(2, np.int64))
 
     @pytest.mark.parametrize("primes", [[2**64 + 13], [1009, 2**64 + 13]], ids=["alone", "with-one-below"])
     def test_primes_from_2_64_up_raise(self, primes):
@@ -261,6 +410,22 @@ class TestInt64Limit:
         above = ap_stream([curve], small + [3030000073])[0].tolist()
         assert above == ap_stream([curve], small)[0].tolist() + [43482]
         assert naive_calls == []
+
+
+class TestTableShape:
+    def test_fewest_rows_that_cover_never_falling(self):
+        # every Hasse radius up to the int64 edge: the steps cover every
+        # |k| <= H, with no more rows than the earlier rule s = isqrt(H) + 1,
+        # and the rows never fall as the radius grows
+        last = 0
+        for h in range(math.isqrt(4 * LANE_MAX_PRIME) + 1):
+            H = (h + 1) // 2
+            s, K = elliptic._table_shape(h)
+            rows = elliptic._rows(h)
+            s_old = math.isqrt(H) + 1
+            rows_old = s_old + 2 * max(0, -(-(H - s_old) // (2 * s_old + 1))) + 1
+            assert K * (2 * s + 1) + s >= H and last <= rows <= rows_old
+            last = rows
 
 
 class TestBatching:
@@ -305,16 +470,16 @@ class TestBatching:
         assert all(n >= m for n, m in zip(lanes[tail:], lanes[tail + 1 :]))
 
     def test_calls_stay_within_the_cell_budget(self, monkeypatch):
-        # the rows are not monotone in floor(2 sqrt(p)): 15 rows up to 118,
-        # 17 from 119 and 16 from 127.  Sized at the widest prime of the
-        # lanes it may take, a call would hold the first two groups at 16
-        # rows, and its tables would have 17
+        # the rows grow with floor(2 sqrt(p)) inside this slice: 15 rows up
+        # to 118, 16 from 119 and 17 from 135.  Sized at its first lane
+        # alone, a call's slice would reach lanes of 17 rows at 15 rows each;
+        # it shrinks until its own widest interval fits
         curve = CurveQ(2, 3)
-        good, _ = good_primes(4500, curve)
-        bands = ((100, 118), (119, 126), (127, 132))
+        good, _ = good_primes(6000, curve)
+        bands = ((105, 118), (119, 134), (135, 150))
         groups = [[p for p in good if lo <= math.isqrt(4 * p) <= hi] for lo, hi in bands]
         primes = groups[0][:1] + groups[1] + groups[2]
-        assert [{elliptic._rows(math.isqrt(4 * p)) for p in g} for g in groups] == [{15}, {17}, {16}]
+        assert [{elliptic._rows(math.isqrt(4 * p)) for p in g} for g in groups] == [{15}, {16}, {17}]
         expected = ap_stream([curve], primes)
         budget = 16 * (1 + len(groups[1]))
         cells = []
@@ -381,6 +546,22 @@ class TestBatching:
         # never more segments than primes allow, and at least one
         assert len(experiment._segments(good[:2500], 8)) == 2
         assert experiment._segments([], 4) == [[]]
+
+
+class TestResidues:
+    # coefficients and discriminants beyond int64 next to ones that fit it:
+    # each is reduced exactly, whatever the others are
+    CURVES = (CurveQ(2, 3), CurveQ(10**6, 1), CurveQ(2**70 + 1, 3), CurveQ(5, -(3**45)))
+
+    def test_good_mask_equals_python_remainders(self):
+        col = np.array([p for p in range(5, 3000) if is_prime(p)], dtype=np.int64)
+        mask = elliptic.good_mask(list(self.CURVES), col)
+        assert mask.tolist() == [[6 * c.discriminant % p != 0 for p in col.tolist()] for c in self.CURVES]
+
+    def test_stream_equals_naive(self):
+        good, _ = good_primes(2000, *self.CURVES)
+        table = ap_stream(list(self.CURVES), good)
+        assert table.tolist() == [naive_row(c, good) for c in self.CURVES]
 
 
 class TestFallback:
