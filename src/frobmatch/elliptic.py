@@ -127,7 +127,7 @@ def ap_naive(curve: CurveQ, p: int) -> int:
 # its own.
 
 # Primes below this get int64 lanes: the largest sum the kernel reduces is
-# 5(p - 1)^2, on the c1 line of `_lane_xpow`, and it stays below 2^63
+# 5(p - 1)^2, on the c1 line of `_lane_xsq`, and it stays below 2^63
 # (p < 1,358,187,913).  A call with a prime at or above it runs every lane on
 # Python ints (numpy object arrays): exact, and many times slower.
 LANE_MAX_PRIME = math.isqrt(((1 << 63) - 1) // 5)
@@ -164,15 +164,12 @@ def _lane_dbl(P: Lanes, a: np.ndarray, p: np.ndarray) -> Lanes:
     return h * s % p, (w * (b - h + p) + 2 * p - 2 * rr) % p, s * (s * s % p) % p
 
 
-def _lane_add(
-    P: Lanes, Q: Lanes, a: np.ndarray, p: np.ndarray, affine: bool = False, fix: np.ndarray | bool = True
-) -> Lanes:
+def _lane_add(P: Lanes, Q: Lanes, a: np.ndarray, p: np.ndarray, fix: np.ndarray | None, affine: bool = False) -> Lanes:
     """P + Q (add-1998-cmo-2).  P + (-P) gives Z = 0 from the formula itself;
-    the few lanes in `fix` (a mask, or True for all, False for none) with
-    P = Q or an identity operand are redone apart (doubling, or the other
-    operand), and on the other lanes those cases give garbage residues.
-    affine=True says that Q's Z is 1 on every lane, and skips the products by
-    it."""
+    the few lanes in the mask `fix` (None for none) with P = Q or an identity
+    operand are redone apart (doubling, or the other operand), and on the
+    other lanes those cases give garbage residues.  affine=True says that Q's
+    Z is 1 on every lane, and skips the products by it."""
     X1, Y1, Z1 = P
     X2, Y2, Z2 = Q
     if affine:
@@ -188,7 +185,7 @@ def _lane_add(
     X3 = v * c % p
     Y3 = (u * (r - c + p) + vvv * (p - y1z2)) % p
     Z3 = vvv * z1z2 % p
-    if fix is False:
+    if fix is None:
         return X3, Y3, Z3
     special = (v == 0) | (Z1 == 0)
     if not affine:
@@ -222,7 +219,7 @@ def _lane_mul(n: np.ndarray, table: Lanes, a: np.ndarray, p: np.ndarray, fix: np
             continue
         for _ in range(w):
             R = _lane_dbl(R, a, p)
-        R = _lane_add(R, T, a, p, fix=fix)
+        R = _lane_add(R, T, a, p, fix)
     return R
 
 
@@ -266,48 +263,38 @@ def _splitmix(z: np.ndarray) -> np.ndarray:
 
 
 def _lane_tables(P: Lanes, T: Lanes, n: np.ndarray, a: np.ndarray, p: np.ndarray, f: np.ndarray, s: int, K: int):
-    """(X, Y, Z, inf, small, u, euler): tables of shape (s + 2K + 1, lanes),
-    for P with Z = 1 on every lane.  Row e holds (e + 1)P for e < s, row
-    s + i holds Q - (i - K)D with Q = nP + T and D = (2s + 1)P; X is the
-    affine x, Z holds the inverse of the Z each row was stored with, and inf
-    marks O.  small marks the lanes whose baby rows hold an O or a y = 0, or
-    whose D is O: the order of P is then at most 2s or divides 2s + 1, and
+    """(X, Y, Z, inf, small, euler): tables of shape (s + 2K + 1, lanes), for
+    P with Z = 1 on every lane.  Row e holds (e + 1)P for e < s, row s + i
+    holds Q - (i - K)(2s + 1)P with Q = nP + T; X is the affine x, Y stays
+    projective, Z holds 1/Z, and inf marks O.  small marks the lanes whose
+    baby rows hold an O or a y = 0: the order of P is then at most 2s, and
     the lane cannot settle.  euler is Euler's criterion of f, from
     `_lane_invert`.
 
-    The additions that make the baby rows and D meet P = Q or an identity
-    only where P has order at most 2s + 1, on lanes that cannot settle, so
-    they redo no special case; the later ones redo them on the lanes not in
-    small alone.  The giant steps add the affine point -D of the curve
-    y^2 = x^3 + u^4 a x + ..., onto which (x, y) -> (u^2 x, u^3 y) maps the
-    lane's curve, with u the Z of D.  A giant row is stored with Z u^2, so
-    that its X/Z is the x on the lane's curve and its Y/Z is u y."""
+    The additions that make the baby rows and (2s + 1)P meet P = Q or an
+    identity only where P has order at most 2s, where its baby rows hold an
+    O, a y = 0 or a repeated x and the lane cannot settle, so they redo no
+    special case; the later ones redo them on the lanes not in small alone."""
     X, Y, Z = (np.empty((s + 2 * K + 1, len(p)), p.dtype) for _ in range(3))
     R = P
     for e in range(s):
         if e:
-            R = _lane_dbl(P, a, p) if e == 1 else _lane_add(R, P, a, p, affine=True, fix=False)
+            R = _lane_dbl(P, a, p) if e == 1 else _lane_add(R, P, a, p, None, affine=True)
         X[e], Y[e], Z[e] = R
-    Xd, Yd, u = _lane_add(_lane_dbl(R, a, p), P, a, p, affine=True, fix=False)
-    small = (Z[:s] == 0).any(axis=0) | (Y[:s] == 0).any(axis=0) | (u == 0)
-    settle = ~small
-    R = _lane_add(_lane_mul(n + K * (2 * s + 1), (X[:s], Y[:s], Z[:s]), a, p, settle), T, a, p, fix=settle)
-    uu = u * u % p
-    R = (uu * R[0] % p, uu * u % p * R[1] % p, R[2])
-    minus_D = (u * Xd % p, uu * (p - Yd) % p, np.ones_like(p))
-    au = a * (uu * uu % p) % p
+    D = _lane_add(_lane_dbl(R, a, p), P, a, p, None, affine=True)  # (2s+1)P
+    minus_D = (D[0], (p - D[1]) % p, D[2])
+    settle = ~((Z[:s] == 0).any(axis=0) | (Y[:s] == 0).any(axis=0))
+    R = _lane_add(_lane_mul(n + K * (2 * s + 1), (X[:s], Y[:s], Z[:s]), a, p, settle), T, a, p, settle)
     for i in range(2 * K + 1):
         if i:
-            R = _lane_add(R, minus_D, au, p, affine=True, fix=settle)
+            R = _lane_add(R, minus_D, a, p, settle)
         X[s + i], Y[s + i], Z[s + i] = R
-    Z[s:] *= uu
-    Z[s:] %= p
     inf = Z == 0
     Z[inf] = 1  # identities stay out of the inversion
     euler = _lane_invert(Z, p, f)
     X *= Z
     X %= p
-    return X, Y, Z, inf, small, u, euler
+    return X, Y, Z, inf, ~settle, euler
 
 
 def _lane_match(
@@ -316,7 +303,6 @@ def _lane_match(
     Z: np.ndarray,
     inf: np.ndarray,
     small: np.ndarray,
-    scale: np.ndarray,
     s: int,
     K: int,
     p: np.ndarray,
@@ -326,15 +312,13 @@ def _lane_match(
     """(t, count) per lane from `_lane_tables` on P2 = 2P and Q = (p+1-t0)P:
     count is the number of t = t0 + 2k in [-h, h] with kP2 = Q, that is with
     tP = (p+1)P, and t is one of them; count = -1 on the lanes in small and
-    those whose baby rows repeat an x, where P2 has order <= 2s or divides
-    2s + 1 (several t fit then anyway).  Overwrites X and small.
+    those whose baby rows repeat an x, where P2 has order <= 2s (when
+    s <= h/2, several t fit then anyway).  Overwrites X and small.
 
     eP2 (e <= s) is O, has y = 0 or repeats an x exactly when P2 has order
     <= 2s.  Otherwise the 2s + 1 points jP2 (|j| <= s) are distinct, so each
     giant point is at most one of them: an x match, with the sign of y
-    deciding the sign of j, or O for j = 0.  y is formed at the hits alone:
-    Y/Z on the giant side, which `_lane_tables` leaves scale = u times y,
-    and scale Y/Z on the baby side.
+    (Y/Z, formed at the hits alone) deciding the sign of j, or O for j = 0.
     """
     step = 2 * s + 1
     L = X.shape[1]
@@ -364,7 +348,7 @@ def _lane_match(
     lane = (keys[hit] >> xbits).astype(np.intp)
     g, e = row[hit], row[start[hit]]  # giant row; baby row e holds (e + 1)P2
     q = p[lane]
-    j = np.where(Y[g, lane] * Z[g, lane] % q == scale[lane] * Y[e, lane] % q * Z[e, lane] % q, e + 1, -e - 1)
+    j = np.where(Y[g, lane] * Z[g, lane] % q == Y[e, lane] * Z[e, lane] % q, e + 1, -e - 1)
     rows, zero_lanes = np.nonzero(inf[s:])
     lanes = np.concatenate((lane, zero_lanes))
     k = np.concatenate(((g - s - K) * step + j, (rows - K) * step))
@@ -412,16 +396,23 @@ def _hasse_radius(p: np.ndarray) -> np.ndarray:
 
 def _residues(v: list[int], which: np.ndarray, p: np.ndarray) -> np.ndarray:
     """v[which] mod p elementwise (broadcast), in p's dtype, for Python ints
-    v of any size: on int64 p, int64 arithmetic for the values that fit it
-    and Python ints for each one that does not."""
-    if p.dtype == object:
-        return np.remainder(np.array(v, dtype=object)[which], p)
-    fits = [-(1 << 63) <= x < 1 << 63 for x in v]
-    out = np.remainder(np.array([x if ok else 0 for x, ok in zip(v, fits)], np.int64)[which], p)
-    for k in (k for k, ok in enumerate(fits) if not ok):
-        cells = np.broadcast_to(which == k, out.shape)
-        out[cells] = np.remainder(v[k], np.broadcast_to(p, out.shape)[cells].astype(object))
-    return out
+    v of any size: int64 arithmetic when v and p fit it, Python ints if not."""
+    if p.dtype != object and all(-(1 << 63) <= x < 1 << 63 for x in v):
+        return np.remainder(np.array(v, dtype=np.int64)[which], p)
+    return np.remainder(np.array(v, dtype=object)[which], p.astype(object)).astype(p.dtype)
+
+
+def _lane_xsq(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, na: np.ndarray, nb: np.ndarray, p: np.ndarray) -> Lanes:
+    """The square of c0 + c1 x + c2 x^2 mod x^3 + ax + b and p, from residues
+    and na = -a, nb = -b mod p (x^3 = na x + nb).  Its c1 line reduces
+    2 c0 c1 + u na + v nb < 5p^2 with u < 2p, the kernel's largest sum."""
+    u = 2 * (c1 * c2 % p)  # the x^3 coefficient of the square, below 2p
+    v = c2 * c2 % p  # its x^4 coefficient
+    return (
+        (c0 * c0 + u * nb) % p,
+        (2 * c0 * c1 + u * na + v * nb) % p,
+        (c1 * c1 + v * na + 2 * c0 * c2) % p,
+    )
 
 
 def _lane_xpow(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> Lanes:
@@ -430,13 +421,7 @@ def _lane_xpow(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> Lanes:
     na, nb = (p - a) % p, (p - b) % p
     c0, c1, c2 = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
-        u = 2 * (c1 * c2 % p)  # the x^3 coefficient of the square, below 2p
-        v = c2 * c2 % p  # its x^4 coefficient
-        c0, c1, c2 = (
-            (c0 * c0 + u * nb) % p,
-            (2 * c0 * c1 + u * na + v * nb) % p,  # below 5p^2, the kernel's largest sum
-            (c1 * c1 + v * na + 2 * c0 * c2) % p,
-        )
+        c0, c1, c2 = _lane_xsq(c0, c1, c2, na, nb, p)
         odd = (p >> bit) & 1 == 1
         c0, c1, c2 = np.where(odd, c2 * nb % p, c0), np.where(odd, (c0 + c2 * na) % p, c1), np.where(odd, c1, c2)
     return c0, c1, c2
@@ -497,12 +482,12 @@ def _lane_round(
     P2 = (X2 * u % p, Y2 * uu % p, np.ones_like(p))
     T = (xf * uu % p, ff * (uu * u % p) % p, t0.astype(p.dtype))  # P where t0 = 1, O where 0
     s, K = _table_shape(int(h.max()))
-    X, Y, Z, inf, small, scale, euler = _lane_tables(P2, T, (p + 1) // 2 - t0, af * (uu * uu % p) % p, p, f, s, K)
+    X, Y, Z, inf, small, euler = _lane_tables(P2, T, (p + 1) // 2 - t0, af * (uu * uu % p) % p, p, f, s, K)
     composite = (f != 0) & (euler != 1) & (euler != p - 1)
     if composite.any():
         q = int(p[composite][0])
         raise ValueError(f"p={q} is not prime: Euler's criterion fails")
-    t, count = _lane_match(X, Y, Z, inf, small, scale, s, K, p, h, t0)
+    t, count = _lane_match(X, Y, Z, inf, small, s, K, p, h, t0)
     return np.where(euler == 1, t, -t), (count == 1) & (f != 0)
 
 

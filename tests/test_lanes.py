@@ -142,25 +142,26 @@ def _affine_of(X, Y, Z, p):
     return X * zi % p, Y * zi % p
 
 
+def _polymulmod(f, g, a, b, p):
+    """f g mod (x^3 + ax + b, p) for Python-int polynomials [c0, c1, c2]."""
+    c = [0] * 5
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            c[i + j] += fi * gj
+    for d in (4, 3):  # x^d = x^(d - 3) (-ax - b)
+        c[d - 2] -= a * c[d]
+        c[d - 3] -= b * c[d]
+    return [v % p for v in c[:3]]
+
+
 def _xpow_scalar(p, a, b):
     """x^p mod (x^3 + ax + b, p) as [c0, c1, c2], by square-and-multiply on
     Python-int polynomials."""
-
-    def mul(f, g):
-        c = [0] * 5
-        for i, fi in enumerate(f):
-            for j, gj in enumerate(g):
-                c[i + j] += fi * gj
-        for d in (4, 3):  # x^d = x^(d - 3) (-ax - b)
-            c[d - 2] -= a * c[d]
-            c[d - 3] -= b * c[d]
-        return [v % p for v in c[:3]]
-
     r, x = [1, 0, 0], [0, 1, 0]
     for bit in bin(p)[2:]:
-        r = mul(r, r)
+        r = _polymulmod(r, r, a, b, p)
         if bit == "1":
-            r = mul(r, x)
+            r = _polymulmod(r, x, a, b, p)
     return r
 
 
@@ -199,7 +200,7 @@ class TestPrimitivesAtTheEdge:
         p, a, X1, Y1, Z1, X2, Y2, Z2 = self._lanes(rows, dtype)
         for col in (a, X1, Y1, Z1, X2, Y2) + (() if affine else (Z2,)):
             assert all(((p == q) & (col == q - 1)).any() for q in primes)
-        out = elliptic._lane_add((X1, Y1, Z1), (X2, Y2, Z2), a, p, affine=affine)
+        out = elliptic._lane_add((X1, Y1, Z1), (X2, Y2, Z2), a, p, np.ones(len(p), bool), affine=affine)
         for k, (q, want) in enumerate(zip(p.tolist(), expected)):
             X3, Y3, Z3 = (int(c[k]) for c in out)
             assert all(0 <= c < q for c in (X3, Y3, Z3))
@@ -232,6 +233,28 @@ class TestPrimitivesAtTheEdge:
         p, a, b = self._lanes(rows, dtype)
         got = np.stack(elliptic._lane_xpow(p, a, b), axis=1).tolist()
         assert got == [_xpow_scalar(*row) for row in rows]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["int64", "python-int"])
+    def test_xsq(self, which):
+        # _lane_xpow's squaring step, whose c1 line reduces the kernel's
+        # largest sum 2 c0 c1 + u na + v nb, u = 2 (c1 c2 mod p) and
+        # v = c2^2 mod p, below 5(p - 1)^2: c0 = c1 = na = nb = p - 1 and
+        # c2 = isqrt(p - 1) bring it within 4 sqrt(p) p of that bound
+        primes, dtype = _edge_primes()[which]
+        rng = random.Random(f"xsq:{which}")
+        rows = []
+        for p in primes:
+            for c2 in (p - 1, math.isqrt(p - 1), rng.randrange(1, p)):
+                for c1 in (c2, p - pow(c2, -1, p), p - 1):
+                    for c0 in (p - 1, rng.randrange(p)):
+                        for n in (p - 1, rng.randrange(p)):
+                            rows.append((c0, c1, c2, n, n, p))
+        top = dict.fromkeys(primes, 0)
+        for c0, c1, c2, na, nb, p in rows:
+            top[p] = max(top[p], 2 * c0 * c1 + 2 * (c1 * c2 % p) * na + (c2 * c2 % p) * nb)
+        assert all(5 * (p - 1) ** 2 - 4 * math.isqrt(p) * p < v <= 5 * (p - 1) ** 2 for p, v in top.items())
+        got = np.stack(elliptic._lane_xsq(*self._lanes(rows, dtype)), axis=1).tolist()
+        assert got == [_polymulmod([c0, c1, c2], [c0, c1, c2], p - na, p - nb, p) for c0, c1, c2, na, nb, p in rows]
 
     @pytest.mark.parametrize("which", [0, 1], ids=["int64", "python-int"])
     def test_invert(self, which):
@@ -359,7 +382,7 @@ class TestAgreement:
 
 class TestInt64Limit:
     def test_resolves_primes_just_below_the_limit(self, naive_calls):
-        # the kernel's largest sum, 5p^2 on the c1 line of _lane_xpow, comes
+        # the kernel's largest sum, 5p^2 on the c1 line of _lane_xsq, comes
         # within 10^-6 of 2^63 here, so a sum one product larger would wrap
         primes = [p for p in range(LANE_MAX_PRIME - 1, LANE_MAX_PRIME - 200, -1) if is_prime(p)][:3]
         curve = CurveQ(2, 3)
@@ -397,7 +420,7 @@ class TestInt64Limit:
         p = np.array([(1 << 61) + 1, 7])
         with pytest.raises(OverflowError, match="do not fit int64"):
             no, one = np.zeros(2, bool), np.ones(2, np.int64)
-            elliptic._lane_match(X, X.copy(), X.copy(), X == 1, no, one, 1, 1, p, one, np.zeros(2, np.int64))
+            elliptic._lane_match(X, X.copy(), X.copy(), X == 1, no, 1, 1, p, one, np.zeros(2, np.int64))
 
     @pytest.mark.parametrize("primes", [[2**64 + 13], [1009, 2**64 + 13]], ids=["alone", "with-one-below"])
     def test_primes_from_2_64_up_raise(self, primes):
