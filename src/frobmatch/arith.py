@@ -6,8 +6,9 @@ decimal arithmetic and returns the float nearest the true value.
 
 `squarefree_part` takes an int or an integer column.  An int goes through
 trial division (`factorize`); a column is reduced in one int64 pass over the
-primes up to the cube root of its maximum, followed by an exact square-root
-test (`isqrt_column`).  Column values must lie below `COLUMN_LIMIT = 2^62`, so
+primes up to the cube root of its maximum, each tested by a multiply-and-
+compare instead of a remainder, followed by an exact square-root test
+(`isqrt_column`).  Column values must lie below `COLUMN_LIMIT = 2^62`, so
 no intermediate overflows int64: a column value outside [1, 2^62) raises
 `ValueError`.
 """
@@ -183,7 +184,22 @@ def isqrt_column(n: np.ndarray) -> np.ndarray:
     return r
 
 
+def residue_column(v: np.ndarray, q: int) -> np.ndarray:
+    """v mod q in [0, q) for each value of an integer column and an int q >= 1,
+    with the sign rule of Python's `%`.
+
+    Computed as v - q * (v // q): numpy divides a column by one scalar far
+    faster than it takes a remainder.  On int64 and uint64 the product may
+    wrap, but the result is the true one mod 2^64 and lies in [0, q), so it
+    is exact; an object column of Python ints stays exact throughout.
+    """
+    r = v // q
+    r *= q
+    return np.subtract(v, r, out=r)
+
+
 _ODD_BITS = 0x2AAA_AAAA_AAAA_AAAA  # the bits 2^1, 2^3, ..., 2^61
+_U64 = 1 << 64
 
 
 def _squarefree_column(n: np.ndarray) -> np.ndarray:
@@ -203,20 +219,30 @@ def _squarefree_column(n: np.ndarray) -> np.ndarray:
     lim = round(top ** (1 / 3))
     lim -= lim**3 > top
     lim += (lim + 1) ** 3 <= top
-    r = np.empty_like(rest)  # one buffer for every remainder
+    # Odd q by Granlund and Montgomery (PLDI 1994, section 9): with
+    # qinv = q^-1 mod 2^64, u * qinv mod 2^64 is u / q when q divides u and
+    # exceeds (2^64 - 1) // q otherwise.  Every value lies in [1, 2^62), so
+    # the uint64 view keeps it.
+    u = rest.view(np.uint64)
+    t = np.empty_like(u)  # one buffer for every first product
     for q in islice(small_primes(lim), 1, None):  # the odd primes
         if q > lim:
             break
-        idx = np.flatnonzero(np.remainder(rest, q, out=r) == 0)
+        qinv, top_quot = pow(q, -1, _U64), (_U64 - 1) // q
+        np.multiply(u, qinv, out=t)
+        idx = np.flatnonzero(t <= top_quot)
+        quot = t[idx]  # u[idx] / q, exact
         odd = True
         while idx.size:  # idx: the entries with at least one more factor q
-            rest[idx] //= q
+            u[idx] = quot
             if odd:
                 d[idx] *= q
             else:
                 d[idx] //= q
             odd = not odd
-            idx = idx[rest[idx] % q == 0]
+            quot *= qinv  # the next quotient where q divides again
+            more = quot <= top_quot
+            idx, quot = idx[more], quot[more]
     root = isqrt_column(rest)
     rest[root * root == rest] = 1
     d *= rest

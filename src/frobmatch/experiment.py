@@ -227,7 +227,10 @@ def growth_svg(series: tuple[GrowthRow, ...]) -> str:
 def write_residue_csv(cfg: ExperimentConfig, scan: PairScan, path: str) -> None:
     """Per-cell residue frequencies vs the class-ratio prediction at x_max."""
     table = chebotarev_empirical(scan, cfg.q1, cfg.q2)
-    rows = (cell + (pred,) for cell, pred in zip(table.cells(), table.predictions()))
+    preds = table.predictions()
+    # csv.writer writes a float as str(float): format each distinct one once
+    text = {f: str(f) for f in set(preds)}
+    rows = (cell + (text[f],) for cell, f in zip(table.cells(), preds))
     write_csv(path, ["d", "s", "t", "count", "predicted"], rows)
 
 

@@ -27,6 +27,7 @@ from frobmatch.arith import (
     is_perfect_square,
     log_integral,
     primes_in,
+    residue_column,
     squarefree_part,
 )
 from frobmatch.elliptic import TRACE_LIMIT, CurveQ, ap_bsgs, ap_stream, good_mask
@@ -186,14 +187,10 @@ class CheboTable:
     q2: int
     x: int
     counts: list[list[list[int]]]
-    n_good: int
 
     @property
     def modulus(self) -> int:
         return self.q1 * self.q2
-
-    def column_total(self, d: int) -> int:
-        return sum(map(sum, self.counts[d % self.modulus]))
 
     def cells(self) -> Iterator[tuple[int, int, int, int]]:
         """(d, s, t, count) for unit d and all s, t, in lexicographic order."""
@@ -204,18 +201,16 @@ class CheboTable:
     def predictions(self) -> list[float]:
         """The class-ratio prediction (#C/#H) li(x) of each cell, in `cells`
         order: `gl2.class_ratio` with each matrix count computed once."""
-        li_x = log_integral(self.x)
         q1, q2, n = self.q1, self.q2, self.modulus
-        order = order_H_formula(q1, q2)
-        count = {
-            (d, s): count_det_trace_formula(q1, q2, d, s)
-            for d, s in product(_units(n), range(n))
-        }
-        # int / int is correctly rounded: the float of class_ratio's Fraction
-        return [
-            count[d, s] * count[d, t] / order * li_x
-            for d, s, t, _ in self.cells()
-        ]
+        ks = []  # #C = count(d, s) * count(d, t) of each cell
+        for d in _units(n):
+            count = [count_det_trace_formula(q1, q2, d, s) for s in range(n)]
+            ks.extend(cs * ct for cs in count for ct in count)
+        # int / int is correctly rounded: the float of class_ratio's Fraction,
+        # evaluated once per distinct #C (24 of them at q1, q2 = 3, 5)
+        order, li_x = order_H_formula(q1, q2), log_integral(self.x)
+        pred = {k: k / order * li_x for k in set(ks)}
+        return [pred[k] for k in ks]
 
 
 def residue_modulus(q1: int, q2: int) -> int:
@@ -228,9 +223,11 @@ def residue_modulus(q1: int, q2: int) -> int:
 def chebotarev_empirical(scan: PairScan, q1: int, q2: int) -> CheboTable:
     """Histogram the scanned primes into (p, a_p, b_p) residue cells."""
     n = residue_modulus(q1, q2)
-    cells = (scan.p % n * n + scan.a_p % n) * n + scan.b_p % n
+    cells = residue_column(scan.p, n) * n + residue_column(scan.a_p, n)
+    cells *= n
+    cells += residue_column(scan.b_p, n)
     counts = np.bincount(cells, minlength=n**3).reshape(n, n, n)
-    return CheboTable(q1, q2, scan.x, counts.tolist(), len(scan.p))
+    return CheboTable(q1, q2, scan.x, counts.tolist())
 
 
 def write_csv(path, header: list[str], rows: Iterable) -> None:
@@ -242,22 +239,38 @@ def write_csv(path, header: list[str], rows: Iterable) -> None:
         w.writerows(rows)
 
 
-def _int_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each int64 of `v` as the text `str` gives it and a comma: a (len(v),
-    width) byte table of a sign cell, the digits right-aligned and the comma,
-    and the mask of the bytes that are written (no '+', no leading zeros)."""
-    m = np.abs(v).astype(np.uint64)  # exact for every int64, -2^63 too
-    width = len(str(int(m.max())))
-    chars = np.empty((len(v), width + 2), np.uint8)
-    keep = np.empty(chars.shape, bool)
-    chars[:, 0], keep[:, 0] = ord("-"), v < 0
-    chars[:, -1], keep[:, -1] = ord(","), True
+def _int_cells(v: np.ndarray, m: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
+    """Fill `chars`, one row per byte position and one column per value, with
+    each int64 of `v` as the text `str` gives it and a comma: a sign row, the
+    digits of m = |v| right-aligned and the comma; `keep` marks the bytes
+    that are written (no '+', no leading zeros)."""
+    width = len(chars) - 2
+    chars[0], keep[0] = ord("-"), v < 0
+    chars[-1], keep[-1] = ord(","), True
     for j in range(width, 0, -1):
-        keep[:, j] = m != 0
-        chars[:, j] = m % 10 + ord("0")
-        m //= 10
-    keep[:, width] = True  # zero is the one digit 0
-    return chars, keep
+        keep[j] = m != 0
+        q = m // 10
+        chars[j] = m - 10 * q
+        chars[j] += ord("0")
+        m = q
+    keep[width] = True  # zero is the one digit 0
+
+
+def _match_rows(columns: list[np.ndarray], unmatched: np.ndarray) -> bytes:
+    """The bytes of a block of match.csv rows, from one byte table with a row
+    per byte position of a line: the five integer cells, then the last cell
+    by `not matched`, padded to one width."""
+    mags = [np.abs(v).astype(np.uint64) for v in columns]  # exact for -2^63 too
+    widths = [len(str(int(m.max()))) + 2 for m in mags]
+    chars = np.empty((sum(widths) + _FLAG_BYTES.shape[1], len(unmatched)), np.uint8)
+    keep = np.empty(chars.shape, bool)
+    top = 0
+    for v, m, w in zip(columns, mags, widths):
+        _int_cells(v, m, chars[top : top + w], keep[top : top + w])
+        top += w
+    chars[top:] = _FLAG_BYTES[unmatched].T
+    keep[top:] = _FLAG_KEEP[unmatched].T
+    return chars.T[keep.T].tobytes()
 
 
 def write_match_csv(scan: PairScan, path) -> None:
@@ -271,7 +284,4 @@ def write_match_csv(scan: PairScan, path) -> None:
         fh.write(",".join(MATCH_CSV_COLUMNS).encode("ascii") + b"\r\n")
         for start in range(0, len(scan.p), _MATCH_CSV_BLOCK):
             rows = slice(start, start + _MATCH_CSV_BLOCK)
-            cells = [_int_cells(c[rows]) for c in columns]
-            cells.append((_FLAG_BYTES[unmatched[rows]], _FLAG_KEEP[unmatched[rows]]))
-            chars, keep = (np.hstack(t) for t in zip(*cells))
-            fh.write(chars[keep].tobytes())
+            fh.write(_match_rows([c[rows] for c in columns], unmatched[rows]))

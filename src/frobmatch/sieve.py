@@ -27,6 +27,7 @@ from frobmatch.arith import (
     isqrt_column,
     jacobi_symbol,
     primes_in,
+    residue_column,
 )
 from frobmatch.frobenius import PairScan, chebotarev_empirical, pair_product
 
@@ -164,14 +165,17 @@ def _legendre_terms(a: Multiset, window: SievePrimeSet) -> tuple[list[int], np.n
     tables = []  # chi[r] = (r/q) for r in [0, q)
     for q in qs:
         chi = np.full(q, -1, np.int8)
-        chi[np.arange(1, q) ** 2 % q] = 1
+        chi[residue_column(np.arange(1, q) ** 2, q)] = 1
         chi[0] = 0
         tables.append(chi)
     gram = np.zeros((len(qs), len(qs)), np.int64)
     omega = np.zeros(len(alphas), np.int64)
     for lo in range(0, len(alphas), _GRAM_BLOCK):
         block = alphas[lo : lo + _GRAM_BLOCK]
-        L = np.stack([chi[(block % q).astype(np.intp)] for q, chi in zip(qs, tables)])
+        # an object block (elements from 2^63 up) keeps exact Python residues
+        L = np.stack(
+            [chi[residue_column(block, q).astype(np.intp, copy=False)] for q, chi in zip(qs, tables)]
+        )
         Lf = L.astype(np.float32)
         gram += (Lf @ Lf.T).astype(np.int64)
         omega[lo : lo + len(block)] = np.count_nonzero(L == 0, axis=0)

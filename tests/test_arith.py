@@ -16,6 +16,8 @@ from frobmatch.arith import (
     jacobi_symbol,
     log_integral,
     primes_in,
+    residue_column,
+    small_primes,
     squarefree_decompose,
     squarefree_part,
 )
@@ -205,6 +207,106 @@ class TestSquarefreeColumn:
             squarefree_part(np.array([4.0]))
         with pytest.raises(ValueError):
             squarefree_part(_column([[4]]))
+
+
+def _squarefree_window(lo: int, hi: int) -> list[int]:
+    """Squarefree parts of lo, ..., hi - 1 for hi <= 2^62, from a range sieve
+    in Python ints over the primes to 2^21: what is left of each value then
+    has every prime factor above 2^21 > 2^(62/3), so it is 1, Q, Q1*Q2 or
+    Q^2.  (sympy's factorint on 2,000 values near 2^62 takes seconds.)"""
+    assert hi <= COLUMN_LIMIT and 1 << 21 > round(COLUMN_LIMIT ** (1 / 3))
+    rest, d = list(range(lo, hi)), [1] * (hi - lo)
+    for q in small_primes(1 << 21):
+        if q > 1 << 21:
+            break
+        for i in range(-lo % q, hi - lo, q):
+            e = 0
+            while rest[i] % q == 0:
+                rest[i] //= q
+                e += 1
+            d[i] *= q ** (e % 2)
+    return [di * (1 if is_perfect_square(c) else c) for di, c in zip(d, rest)]
+
+
+class TestSquarefreeColumnNear2_62:
+    """One column whose maximum is 2^62 - 1, so the column path runs every
+    odd prime up to 1,664,510: values q^k * m with a high power of a small
+    prime, the last 2,000 values below 2^62, and squares of the primes just
+    above the column's cube root."""
+
+    WINDOW = 2000
+    ODD_PRIMES = list(sympy.primerange(3, 128))  # the first 30 odd primes
+    CBRT = 1664510  # floor of the cube root of 2^62 - 1
+    ABOVE = list(sympy.primerange(CBRT + 1, 1664564))  # the first five primes above it
+
+    @classmethod
+    def powers(cls) -> list[int]:
+        # every k with q^k < 2^62, up to the largest, times a few cofactors
+        ms = [1, 2, 15, (1 << 20) + 7, 1000003, 127**2]
+        out = []
+        for q in cls.ODD_PRIMES:
+            qk = q
+            while qk < COLUMN_LIMIT:
+                out += [qk * m for m in ms if qk * m < COLUMN_LIMIT]
+                qk *= q
+        return out
+
+    @classmethod
+    def prime_squares(cls) -> list[int]:
+        # m * Q^2 and Q1 * Q2 * m leave the cofactor Q^2 or Q1 * Q2 once the
+        # primes up to the cube root are out; the largest m keeps them below 2^62
+        q1, q2 = cls.ABOVE[:2]
+        out = [q * q for q in cls.ABOVE] + [q1 * q2, q1, q1 * q2 * 3]
+        for q in cls.ABOVE:
+            top = (COLUMN_LIMIT - 1) // (q * q)
+            out += [m * q * q for m in (3, 35, 2431, top, top - 1)]
+        return out
+
+    @pytest.fixture(scope="class")
+    def column(self):
+        values = self.powers() + list(range(COLUMN_LIMIT - self.WINDOW, COLUMN_LIMIT))
+        values += self.prime_squares()
+        assert max(values) == COLUMN_LIMIT - 1 and max(values) < (self.CBRT + 1) ** 3
+        assert self.CBRT**3 <= max(values) and len(self.ODD_PRIMES) == 30
+        return dict(zip(values, squarefree_part(_column(values)).tolist()))
+
+    def test_high_powers_of_the_first_30_odd_primes(self, column):
+        values = self.powers()
+        assert max(math.log(v, 3) for v in values) > 38  # 3^38 < 2^62 < 3^39
+        assert [column[n] for n in values] == [_squarefree_sympy(n) for n in values]
+
+    def test_the_last_2000_values_below_2_62(self, column):
+        values = range(COLUMN_LIMIT - self.WINDOW, COLUMN_LIMIT)
+        expected = _squarefree_window(values.start, values.stop)
+        assert [column[n] for n in values] == expected
+        # the range sieve against sympy on every 100th value
+        assert expected[::100] == [_squarefree_sympy(n) for n in values[::100]]
+
+    def test_squares_of_primes_just_above_the_cube_root(self, column):
+        values = self.prime_squares()
+        assert [column[n] for n in values] == [_squarefree_sympy(n) for n in values]
+
+
+class TestResidueColumn:
+    """residue_column(v, q) against Python's % and divmod."""
+
+    INT64 = [-(2**63), -(2**63) + 1, -(2**62), -10**18 - 7, -97, -10, -1, 0, 1, 9, 10]
+    INT64 += [96, 97, 10**18 + 7, 2**62, 2**63 - 2, 2**63 - 1]
+
+    def test_int64_with_negatives_and_both_ends(self):
+        rng = random.Random(0)
+        values = self.INT64 + [rng.randrange(-(2**63), 2**63) for _ in range(200)]
+        for q in [*range(3, 98), 10]:
+            r = residue_column(_column(values), q)
+            assert r.dtype == np.int64
+            assert r.tolist() == [n % q for n in values] == [divmod(n, q)[1] for n in values]
+
+    @pytest.mark.parametrize("q", [3, 10, 97])
+    def test_uint64_and_object_columns(self, q):
+        values = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+        assert residue_column(np.array(values, np.uint64), q).tolist() == [n % q for n in values]
+        big = np.array([-(2**80) - 1, -1, 2**63, 2**80 + 5], dtype=object)
+        assert residue_column(big, q).tolist() == [n % q for n in big.tolist()]
 
 
 class TestIsqrtColumn:

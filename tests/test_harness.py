@@ -1,6 +1,8 @@
 """Cache, experiment orchestration, SVG, verification gates, and the CLI."""
 
 import contextlib
+import csv
+import functools
 import io
 import os
 import subprocess
@@ -14,11 +16,16 @@ from hypothesis import strategies as st
 
 import frobmatch
 from frobmatch import arith, cli, experiment, gl2, verify
-from frobmatch.arith import is_prime
+from frobmatch.arith import is_prime, log_integral
 from frobmatch.cache import cache_path, read_trace_cache, write_trace_cache
 from frobmatch.config import parse_config
 from frobmatch.elliptic import CurveQ
-from frobmatch.experiment import compute_traces, growth_series, run_experiment
+from frobmatch.experiment import (
+    compute_traces,
+    growth_series,
+    run_experiment,
+    write_residue_csv,
+)
 from frobmatch.frobenius import (
     PairScan,
     chebotarev_empirical,
@@ -417,6 +424,26 @@ class TestRunExperiment:
         total = sum(int(line.split(",")[3]) for line in lines[1:])
         good, _ = good_primes(1500, E1, E2)
         assert total == len(good)
+
+    @pytest.mark.parametrize("q1, q2", [(3, 5), (3, 7), (5, 7), (3, 11)])
+    def test_residue_bytes_equal_csv_writer_cell_by_cell(self, q1, q2, demo_traces_1e4, tmp_path):
+        # each prediction as the expression count(d,s) * count(d,t) / #H * li(x)
+        # of its own cell, and every row through csv.writer
+        cfg = parse_config(_config_text(10_000, "10000", 1) + f"q1 = {q1}\nq2 = {q2}\n")
+        write_residue_csv(cfg, demo_traces_1e4, str(tmp_path / "residue.csv"))
+        table = chebotarev_empirical(demo_traces_1e4, q1, q2)
+        order, li_x = gl2.order_H_formula(q1, q2), log_integral(10_000)
+        count = functools.cache(lambda d, s: gl2.count_det_trace_formula(q1, q2, d, s))
+        with open(tmp_path / "expected.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["d", "s", "t", "count", "predicted"])
+            w.writerows(
+                (d, s, t, c, count(d, s) * count(d, t) / order * li_x)
+                for d, s, t, c in table.cells()
+            )
+        expected = (tmp_path / "expected.csv").read_bytes()
+        assert (tmp_path / "residue.csv").read_bytes() == expected
+        assert expected.count(b"\r\n") == 1 + len(list(table.cells()))
 
 
 class TestSvg:

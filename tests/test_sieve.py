@@ -12,6 +12,8 @@ from frobmatch.frobenius import PairScan, good_primes, scan_pair
 from frobmatch.sieve import (
     _GRAM_BLOCK,
     Multiset,
+    _char_sums_over_pairs,
+    _legendre_terms,
     SievePrimeSet,
     build_prime_window,
     choose_z_grh,
@@ -329,6 +331,23 @@ class TestLegendreMatrixExact:
         assert _v2_fields(sieve_bound_v2(a, w)) == expected
         if not elems or max(elems) <= math.exp(w.P):
             assert sieve_bound_v1(a, w).term_char == v1_char
+
+    @pytest.mark.parametrize("z", [12, 30, 100])
+    def test_int64_elements_just_below_2_63(self, z):
+        # every element in [2^63 - 10^6, 2^63): the residues' v // q * q
+        # comes nearest int64's top here; a multiple of each window prime
+        # and 2^63 - 1 are among them
+        w, rng = build_prime_window(z), random.Random(z)
+        lo = 2**63 - 10**6
+        elems = [rng.randrange(lo, 2**63) for _ in range(150)]
+        elems += [(2**63 - 1) // q * q for q in w.primes] + [2**63 - 1, lo]
+        a = Multiset(tuple(elems))
+        assert a.elements.dtype == np.int64 and a.elements.min() >= lo
+        _, expected = _literal_terms(a, w)
+        assert _v2_fields(sieve_bound_v2(a, w)) == expected
+        sums, omega = _legendre_terms(a, w)
+        assert sums == _char_sums_over_pairs(a, w)
+        assert omega.tolist() == [sum(1 for q in w.primes if e % q == 0) for e in elems]
 
     def test_spans_gram_blocks(self):
         w = build_prime_window(30)
